@@ -10,17 +10,12 @@ import argparse
 import concurrent.futures
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .longrun import predict_regime, solve_support_system
 from .model import NumericalError, SpillnetError, ValidationError
-from .scenarios import (
-    Scenario,
-    builtin_scenarios,
-    load_scenario,
-    run,
-    run_with_overrides,
-)
+from .scenarios import builtin_scenarios, load_scenario, run, structure_lines
 from .structure import classify
 
 EXIT_OK = 0
@@ -29,31 +24,30 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _print_structure(scenario: Scenario) -> None:
-    report = classify(scenario.matrix)
-    print(f"scenario: {scenario.name}")
-    print(f"classes: {', '.join(sorted(report.classes))}")
-    print(f"cores: {[sorted(c) for c in report.cores] or 'none'}")
-    print(f"irreducible: {report.irreducible}")
-    print(f"weak components: {[sorted(c) for c in report.weak_components]}")
-    print(f"dominant eigenvalue: {report.dominant_eigenvalue:.9g}")
-    flag, k = report.eventually_nonnegative
-    print(f"eventually nonnegative: {flag}" + (f" (witness power {k})" if flag else ""))
-    if report.negative_edges:
-        print(f"negative entries at: {[list(e) for e in report.negative_edges]}")
-    if report.spectrum is not None:
-        eigs = ", ".join(f"{e:.6g}" for e in report.spectrum)
-        print(f"spectrum: {eigs}")
+def _failure(e: SpillnetError | OSError) -> tuple[int, str]:
+    """Exit code and stderr label for a failure."""
+    if isinstance(e, NumericalError):
+        return EXIT_NUMERICAL, "numerical failure"
+    if isinstance(e, SpillnetError):
+        # validation errors plus model-domain violations (negative
+        # productivity, degenerate economy)
+        return EXIT_VALIDATION, "error"
+    return EXIT_IO, "i/o failure"
 
 
 def _cmd_classify(args) -> int:
     scenario = load_scenario(args.file)
-    _print_structure(scenario)
+    print(f"scenario: {scenario.name}")
+    print("\n".join(structure_lines(classify(scenario.matrix))))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    scenario = run_with_overrides(load_scenario(args.file), args.horizon, args.step)
+    scenario = load_scenario(args.file)
+    if args.horizon is not None:
+        scenario = replace(scenario, horizon=args.horizon)
+    if args.step is not None:
+        scenario = replace(scenario, step=args.step)
     report = run(scenario, outdir=args.out)
     print(f"simulated {scenario.name} to t = {scenario.horizon:g}")
     print(f"regime: {report.prediction.regime}")
@@ -103,34 +97,43 @@ def _cmd_paper_figs(args) -> int:
     return EXIT_OK
 
 
-def _run_one(path_and_out: tuple[str, str | None]):
-    path, out = path_and_out
-    scenario = load_scenario(path)
-    report = run(scenario, outdir=out)
-    return scenario.name, report.prediction.regime, report.convergence.growth_rate
+def _run_one(path: str, out: str | None) -> tuple[str, dict, int]:
+    """Run one scenario file in a sweep worker: (name, sweep.json entry,
+    exit code).  A failure becomes an error entry keyed by the file stem,
+    since an exception does not always survive the trip back to the parent
+    process."""
+    try:
+        scenario = load_scenario(path)
+        report = run(scenario, outdir=out)
+    except (SpillnetError, OSError) as e:
+        return Path(path).stem, {"error": f"{type(e).__name__}: {e}"}, _failure(e)[0]
+    entry = {
+        "regime": report.prediction.regime,
+        "terminal_growth": report.convergence.growth_rate,
+    }
+    return scenario.name, entry, EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     files = sorted(Path(args.dir).glob("*.json"))
     if not files:
         raise ValidationError(f"no scenario JSON files in {args.dir}")
-    jobs = [(str(f), args.out) for f in files]
-    results = {}
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-        for name, regime, growth in pool.map(_run_one, jobs):
-            results[name] = (regime, growth)
-    for name in sorted(results):
-        regime, growth = results[name]
-        print(f"{name}: regime={regime}, terminal g={growth:.6g}")
+        futures = [pool.submit(_run_one, str(f), args.out) for f in files]
+        outcomes = [future.result() for future in futures]
+    for name, entry, _ in sorted(outcomes, key=lambda o: o[0]):
+        if "error" in entry:
+            print(f"{name}: {entry['error']}", file=sys.stderr)
+        else:
+            print(f"{name}: regime={entry['regime']}, "
+                  f"terminal g={entry['terminal_growth']:.6g}")
     if args.out:
-        index = {
-            name: {"regime": regime, "terminal_growth": growth}
-            for name, (regime, growth) in results.items()
-        }
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        index = {name: entry for name, entry, _ in outcomes}
         Path(args.out, "sweep.json").write_text(
             json.dumps(index, indent=2, sort_keys=True) + "\n"
         )
-    return EXIT_OK
+    return next((code for _, _, code in outcomes if code != EXIT_OK), EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,17 +177,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SpillnetError as e:
-        # validation errors plus model-domain violations (negative
-        # productivity, degenerate economy)
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as e:
-        print(f"i/o failure: {e}", file=sys.stderr)
-        return EXIT_IO
+    except (SpillnetError, OSError) as e:
+        code, label = _failure(e)
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ import numpy as np
 
 from .allocation import shares_from_productivities
 from .model import (
+    DegenerateEconomyError,
     IntegrationBlowupError,
     Model,
     NegativeProductivityError,
@@ -130,7 +131,7 @@ def simulate(
     q0 = model.q0.q
     total0 = q0.sum()
     if total0 <= 0:
-        raise NegativeProductivityError(
+        raise DegenerateEconomyError(
             "initial qualities sum to zero; scale-free state undefined"
         )
     z = q0 / total0

@@ -30,7 +30,7 @@ from .model import (
     TransitionSearchExhaustedError,
     validate_model,
 )
-from .structure import StructureReport, classify
+from .structure import StructureReport, classify, closure
 
 EXHAUSTIVE_LIMIT = 12
 SUPPORT_LIMIT = 20
@@ -410,8 +410,6 @@ def _validate_chain(f: np.ndarray, clusters: list[list[int]]) -> None:
         raise PreconditionError("clusters must partition the technology indices")
     if len(clusters) < 2:
         raise PreconditionError("a transition needs at least two clusters")
-    from .structure import closure  # local import to keep module deps one-way
-
     for c in clusters:
         sub = f[np.ix_(c, c)] > 0
         if not closure(sub).all():

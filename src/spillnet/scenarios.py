@@ -10,7 +10,7 @@ reports never present guessed numbers as given ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +304,24 @@ def _report_dict(report: RunReport) -> dict:
     }
 
 
+def structure_lines(s: StructureReport) -> list[str]:
+    """The structural section of a text report, one line per fact."""
+    flag, k = s.eventually_nonnegative
+    lines = [
+        f"classes: {', '.join(sorted(s.classes))}",
+        f"cores: {[sorted(c) for c in s.cores] or 'none'}",
+        f"irreducible: {s.irreducible}",
+        f"weak components: {[sorted(c) for c in s.weak_components]}",
+        f"dominant eigenvalue: {s.dominant_eigenvalue:.9g}",
+        f"eventually nonnegative: {flag}" + (f" (witness power {k})" if flag else ""),
+    ]
+    if s.negative_edges:
+        lines.append(f"negative entries at: {[list(e) for e in s.negative_edges]}")
+    if s.spectrum is not None:
+        lines.append("spectrum: " + ", ".join(f"{e:.6g}" for e in s.spectrum))
+    return lines
+
+
 def _report_text(report: RunReport) -> str:
     d = _report_dict(report)
     lines = [f"scenario: {d['scenario']}"]
@@ -312,14 +330,7 @@ def _report_text(report: RunReport) -> str:
             "defaulted parameters (artifact choices, not source-given): "
             + ", ".join(d["defaulted_parameters"])
         )
-    st = d["structure"]
-    lines += [
-        f"classes: {', '.join(st['classes'])}",
-        f"cores: {st['cores'] or 'none'}",
-        f"irreducible: {st['irreducible']}",
-        f"dominant eigenvalue: {st['dominant_eigenvalue']:.9g}",
-        f"eventually nonnegative: {st['eventually_nonnegative']}",
-    ]
+    lines += structure_lines(report.structure)
     pr = d["prediction"]
     lines.append(f"predicted regime: {pr['regime']} (reason: {pr['reason']})")
     if pr["survivors"] is not None:
@@ -418,17 +429,3 @@ def run(
         outputs["report_text"] = str(outdir / f"{scenario.name}.report.txt")
         outputs["report_json"] = str(outdir / f"{scenario.name}.report.json")
     return report
-
-
-def run_with_overrides(
-    scenario: Scenario,
-    horizon: float | None = None,
-    step: float | None = None,
-) -> Scenario:
-    """Copy of a scenario with horizon/step replaced (CLI flag support)."""
-    changes = {}
-    if horizon is not None:
-        changes["horizon"] = horizon
-    if step is not None:
-        changes["step"] = step
-    return replace(scenario, **changes) if changes else scenario

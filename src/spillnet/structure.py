@@ -41,81 +41,52 @@ def adjacency(matrix: SpilloverMatrix) -> np.ndarray:
 
 
 def closure(a: np.ndarray) -> np.ndarray:
-    """Reachability closure: OR-accumulated boolean powers A^1 .. A^n.
+    """Reachability closure by Warshall's algorithm (Warshall 1962).
 
-    Entry (i, j) is true iff a directed path of length 1..n leads from j
-    to i (following the receiver-row edge convention of `adjacency`).
+    Entry (i, j) is true iff a directed path of length >= 1 leads from j
+    to i (following the receiver-row edge convention of `adjacency`); the
+    diagonal is true exactly on nodes that lie on a cycle.  This is the
+    only graph traversal in the module: components and orderings below
+    are read off the closure.
     """
     a = np.asarray(a, dtype=bool)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"closure needs a square boolean matrix, got {a.shape}")
     reach = a.copy()
-    power = a.copy()
-    for _ in range(a.shape[0] - 1):
-        power = (power @ a) > 0
-        new = reach | power
-        if np.array_equal(new, reach):
-            break
-        reach = new
+    for k in range(a.shape[0]):
+        reach |= reach[:, k, None] & reach[None, k, :]
     return reach
 
 
 def topological_order(a: np.ndarray) -> list[int] | None:
-    """Kahn topological sort of the digraph (edge j -> i iff a[i, j]);
-    None when a cycle (including a self-loop) exists."""
-    a = np.asarray(a, dtype=bool)
-    n = a.shape[0]
-    indeg = a.sum(axis=1)
-    order: list[int] = []
-    ready = [i for i in range(n) if indeg[i] == 0]
-    indeg = indeg.copy()
-    while ready:
-        j = ready.pop()
-        order.append(j)
-        for i in np.flatnonzero(a[:, j]):
-            indeg[i] -= 1
-            if indeg[i] == 0:
-                ready.append(int(i))
-    return order if len(order) == n else None
+    """Topological order of the digraph (edge j -> i iff a[i, j]); None
+    when a cycle (including a self-loop) exists.
+
+    In a DAG every node has strictly more ancestors than each of its
+    predecessors, so sorting by ancestor count is a topological order.
+    """
+    reach = closure(a)
+    if reach.diagonal().any():
+        return None
+    return np.argsort(reach.sum(axis=1), kind="stable").tolist()
 
 
 def strongly_connected_components(reach: np.ndarray) -> list[frozenset[int]]:
     """SCCs from a reachability closure: i and j are equivalent iff each
-    reaches the other (or i == j)."""
-    n = reach.shape[0]
-    seen: set[int] = set()
-    comps = []
+    reaches the other (or i == j).  Row i of the mutual reachability
+    matrix is the component of i, so the distinct rows are the components;
+    each is taken once, at the row of its smallest member, which also
+    orders them."""
     mutual = reach & reach.T
-    for i in range(n):
-        if i in seen:
-            continue
-        comp = {i} | {int(j) for j in np.flatnonzero(mutual[i])}
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    np.fill_diagonal(mutual, True)
+    firsts = np.flatnonzero(mutual.argmax(axis=1) == np.arange(len(mutual)))
+    return [frozenset(np.flatnonzero(mutual[i]).tolist()) for i in firsts]
 
 
 def weak_components(reach: np.ndarray) -> list[frozenset[int]]:
-    """Connected components of the closure with edge direction ignored."""
-    n = reach.shape[0]
-    sym = reach | reach.T
-    seen: set[int] = set()
-    comps = []
-    for i in range(n):
-        if i in seen:
-            continue
-        comp = {i}
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for k in np.flatnonzero(sym[j]):
-                k = int(k)
-                if k not in comp:
-                    comp.add(k)
-                    frontier.append(k)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    """Connected components of the closure with edge direction ignored:
+    the SCCs of the symmetrised graph."""
+    return strongly_connected_components(closure(reach | reach.T))
 
 
 def is_eventually_nonnegative(
@@ -226,25 +197,25 @@ def classify(matrix: SpilloverMatrix) -> StructureReport:
         # nonnegative matrices
         classes = frozenset({"general"})
 
-    if n == 1:
-        irreducible = bool(reach[0, 0])
-    else:
-        irreducible = bool(reach.all())
-
     if n <= DENSE_SPECTRUM_LIMIT:
         eigs = np.linalg.eigvals(f)
         spectrum: tuple[complex, ...] | None = tuple(complex(e) for e in eigs)
         dominant = float(eigs.real.max())
     else:
+        # F is block-triangular over its SCCs, so its spectrum is the
+        # union of the spectra of its diagonal blocks F[b, b]
         spectrum = None
-        dominant = dominant_eigenvalue_power(matrix)
+        dominant = max(
+            dominant_eigenvalue_power(SpilloverMatrix(f[np.ix_(b, b)]))
+            for b in (sorted(c) for c in sccs)
+        )
 
     return StructureReport(
         adjacency=adj,
         closure=reach,
         classes=classes,
         cores=tuple(cores),
-        irreducible=irreducible,
+        irreducible=bool(reach.all()),
         weak_components=tuple(weak),
         eventually_nonnegative=evnn,
         dominant_eigenvalue=dominant,

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from spillnet import builtin_scenario, write_scenario
@@ -72,6 +74,29 @@ def test_sweep_merges_by_name(tmp_path, capsys):
     assert "fig12-oneway" in out and "homogeneous-baseline" in out
     index = json.loads((out_dir / "sweep.json").read_text())
     assert set(index) == {"fig12-oneway", "homogeneous-baseline"}
+
+
+def test_sweep_keeps_results_when_one_scenario_fails(tmp_path, capsys):
+    scenarios_dir = tmp_path / "scenarios"
+    scenarios_dir.mkdir()
+    small = replace(builtin_scenario("fig12-oneway"), horizon=5.0)
+    write_scenario(small, scenarios_dir / "small.json")
+    # a 21-cycle: n = 21 exceeds the long-run solver's SUPPORT_LIMIT
+    big = {
+        "name": "big", "n": 21, "F": np.roll(np.eye(21), 1, axis=0).ravel().tolist(),
+        "nu": 0.5, "alpha": 0.0, "s_total": 1.0, "c": 1.0, "q0": [1.0] * 21,
+        "horizon": 5.0, "step": 0.01,
+    }
+    (scenarios_dir / "big.json").write_text(json.dumps(big))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(scenarios_dir), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "fig12-oneway: regime=" in captured.out
+    assert "big: PreconditionError: " in captured.err
+    index = json.loads((out_dir / "sweep.json").read_text())
+    assert set(index) == {"fig12-oneway", "big"}
+    assert index["fig12-oneway"]["regime"] == "polynomial"
+    assert index["big"]["error"].startswith("PreconditionError: ")
 
 
 def test_sweep_empty_dir_fails(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spillnet import (
-    NegativeProductivityError,
+    DegenerateEconomyError,
     Trajectory,
     builtin_scenario,
     builtin_scenarios,
@@ -214,7 +214,7 @@ def test_convergence_oneway_shares_settle_before_growth():
 
 def test_zero_initial_quality_sum_rejected(model_factory):
     model = model_factory([[0, 0], [0, 0]], alpha=1.0, q0=[0.0, 0.0])
-    with pytest.raises(NegativeProductivityError):
+    with pytest.raises(DegenerateEconomyError):
         simulate(model, 1.0)
 
 

@@ -68,7 +68,11 @@ def test_closure_block_diagonal_stays_block_diagonal():
     assert c[:2, :2].all() and c[2:, 2:].all()
 
 
-@given(arrays(np.bool_, (5, 5), elements=st.booleans()))
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: arrays(np.bool_, (n, n), elements=st.booleans())
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_closure_idempotent_and_matches_brute_force(a):
     c = closure(a)
@@ -245,6 +249,34 @@ def test_large_matrix_spectrum_marker(rng):
     f = rng.uniform(0, 1, (17, 17))
     r = classify(SpilloverMatrix(f))
     assert r.spectrum is None
+    assert r.dominant_eigenvalue == pytest.approx(
+        np.linalg.eigvals(f).real.max(), abs=1e-8
+    )
+
+
+def test_large_nilpotent_dominant_eigenvalue_is_exactly_zero(rng):
+    # strictly lower triangular: every SCC is a 1x1 zero block
+    f = np.tril(rng.uniform(0.2, 1.0, (20, 20)), k=-1)
+    r = classify(SpilloverMatrix(f))
+    assert r.spectrum is None
+    assert "one-way" in r.classes
+    assert r.dominant_eigenvalue == 0.0
+
+
+def test_large_reducible_dominant_eigenvalue_matches_dense(rng):
+    # two source cores with Perron roots 1e-4 apart feed a one-way chain;
+    # power iteration on the whole matrix cannot separate the two roots
+    n = 20
+    core = rng.uniform(0.3, 1.0, (3, 3))
+    f = np.zeros((n, n))
+    f[:3, :3] = core
+    f[3:6, 3:6] = core * (1.0 + 1e-4)
+    f[6, [0, 3]] = 1.0
+    f[7:, 6:-1] += np.diag(rng.uniform(0.3, 1.0, n - 7))
+    r = classify(SpilloverMatrix(f))
+    assert r.spectrum is None
+    assert {frozenset({0, 1, 2}), frozenset({3, 4, 5})} <= set(r.cores)
+    assert "one-way" not in r.classes and not r.irreducible
     assert r.dominant_eigenvalue == pytest.approx(
         np.linalg.eigvals(f).real.max(), abs=1e-8
     )
