@@ -151,7 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate a scenario and export results")
     p.add_argument("file")
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument(
+        "--step", type=float, default=None,
+        help="initial step and sample spacing (samples every 10 steps); the "
+        "Dormand-Prince 5(4) integrator then adapts its step to a local "
+        "error tolerance of 1e-12",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 

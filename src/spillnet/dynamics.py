@@ -12,6 +12,11 @@ the vector field becomes
 which is exact (no approximation relative to raw q).  Because the sector
 output satisfies Y_L = sum(q), the sector growth rate is simply sum(v),
 and per-technology growth is g_i = v_i / z_i.
+
+The stacked state (z, L) is integrated with the embedded Dormand-Prince
+5(4) pair (Dormand & Prince 1980) under local error control at tolerance
+TOL, and the fixed sample grid is filled from the pair's 4th-order
+continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ class Trajectory:
     shares: np.ndarray
     tech_growth: np.ndarray
     sector_growth: np.ndarray
+    field_evaluations: int = 0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
 
     @property
     def n(self) -> int:
@@ -88,12 +96,16 @@ class GrowthSeries:
     logsum_rate: np.ndarray
 
 
-def _field(z, logsum, f, nu, alpha, s_total):
-    """(zdot, Ldot, v) for the scale-free state; see module docstring."""
-    p = f @ z + alpha * math.exp(-logsum)
+def _field(y, f, nu, alpha, s_total):
+    """(ydot, v, shares) at the stacked scale-free state y = (z, L).
+
+    Tiny negative productivities near extinct technologies are roundoff
+    and clamp to zero; anything larger raises NegativeProductivityError.
+    """
+    z = y[:-1]
+    p = f @ z + alpha * math.exp(-y[-1])
     pmin = p.min()
     if pmin < 0:
-        # tiny negative excursions near extinct technologies are numerical
         if pmin < -1e-12 * max(1.0, np.abs(p).max()):
             raise NegativeProductivityError(
                 f"productivity went negative during integration (min {pmin})"
@@ -102,7 +114,42 @@ def _field(z, logsum, f, nu, alpha, s_total):
     s = shares_from_productivities(p, nu)
     v = (s * s_total) ** nu * p
     total = v.sum()
-    return v - total * z, total, v
+    ydot = np.empty_like(y)
+    ydot[:-1] = v - total * z
+    ydot[-1] = total
+    return ydot, v, s
+
+
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# table II.5.2): stage rows, the 5th-order weights (equal to the last stage
+# row, so the last stage is the next step's first), the weights of the
+# error estimate (5th minus 4th order), and the 4th-order continuous
+# extension used for dense output (dopri5 of the same authors).
+_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+)
+_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+_D = np.array(
+    [
+        -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+        -10690763975 / 1880347072, 701980252875 / 199316789632,
+        -1453857185 / 822651844, 69997945 / 29380423,
+    ]
+)
+
+TOL = 1e-12
+_SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 
 
 def simulate(
@@ -111,10 +158,18 @@ def simulate(
     step: float = DEFAULT_STEP,
     sample_every: int = 10,
 ) -> Trajectory:
-    """Fixed-step classic Runge-Kutta integration of the closed loop.
+    """Adaptive Dormand-Prince 5(4) integration of the closed loop.
 
-    Shares are recomputed from the current state at every stage.  Samples
-    are taken every `sample_every` steps and always at the final time.
+    Each step is accepted when the mixed RMS norm of the embedded error
+    estimate, scaled componentwise by TOL * (1 + max(|y|, |y_new|)) on the
+    stacked (z, L) state, is at most 1.  `step` and `sample_every` fix
+    only the initial step and the sample grid: samples at multiples of
+    sample_every * step and always at t_end, filled from the pair's
+    4th-order continuous extension.  A stage with negative productivity
+    rejects the step and halves it; the error is re-raised once the step
+    falls below 1e-9 * step.  A non-finite trial state or error estimate
+    raises IntegrationBlowupError at once.  Shares and growth rates are
+    recomputed from each sample with the integration field.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -123,10 +178,10 @@ def simulate(
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
 
-    f = model.matrix.entries
-    nu = model.params.nu
-    alpha = model.params.alpha
-    s_total = model.params.s_total
+    args = (
+        model.matrix.entries, model.params.nu, model.params.alpha,
+        model.params.s_total,
+    )
 
     q0 = model.q0.q
     total0 = q0.sum()
@@ -134,77 +189,94 @@ def simulate(
         raise DegenerateEconomyError(
             "initial qualities sum to zero; scale-free state undefined"
         )
-    z = q0 / total0
-    logsum = math.log(total0)
+    y = np.append(q0 / total0, math.log(total0))
 
     n_full = int(math.floor(t_end / step + 1e-12))
     remainder = t_end - n_full * step
-    if remainder < 1e-12 * step:
-        remainder = 0.0
-
-    times = [0.0]
-    zs = [z.copy()]
-    logs = [logsum]
-
-    def rk4_step(z, logsum, h):
-        dz1, dl1, _ = _field(z, logsum, f, nu, alpha, s_total)
-        dz2, dl2, _ = _field(z + 0.5 * h * dz1, logsum + 0.5 * h * dl1, f, nu, alpha, s_total)
-        dz3, dl3, _ = _field(z + 0.5 * h * dz2, logsum + 0.5 * h * dl2, f, nu, alpha, s_total)
-        dz4, dl4, _ = _field(z + h * dz3, logsum + h * dl3, f, nu, alpha, s_total)
-        z_new = z + (h / 6.0) * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
-        l_new = logsum + (h / 6.0) * (dl1 + 2.0 * dl2 + 2.0 * dl3 + dl4)
-        return z_new, l_new
-
-    for k in range(1, n_full + 1):
-        z, logsum = rk4_step(z, logsum, step)
-        if not (np.all(np.isfinite(z)) and math.isfinite(logsum)):
-            raise IntegrationBlowupError(
-                f"non-finite state at t = {k * step}", last_good_time=times[-1]
-            )
-        if k % sample_every == 0:
-            times.append(k * step)
-            zs.append(z.copy())
-            logs.append(logsum)
-    if remainder > 0.0:
-        z, logsum = rk4_step(z, logsum, remainder)
-        if not (np.all(np.isfinite(z)) and math.isfinite(logsum)):
-            raise IntegrationBlowupError(
-                f"non-finite state at t = {t_end}", last_good_time=times[-1]
-            )
-    final_already_sampled = remainder == 0.0 and n_full % sample_every == 0
-    if final_already_sampled:
+    times = [0.0] + [k * step for k in range(sample_every, n_full + 1, sample_every)]
+    if remainder < 1e-12 * step and n_full % sample_every == 0:
         # k*step can land one ulp off t_end; pin the final stamp exactly
         times[-1] = t_end
     else:
         times.append(t_end)
-        zs.append(z.copy())
-        logs.append(logsum)
-
     times_arr = np.array(times)
-    z_arr = np.vstack(zs)
-    log_arr = np.array(logs)
+    ys = np.empty((times_arr.size, y.size))
+    ys[0] = y
+    j = 1  # next sample to fill
 
-    m = len(times)
-    shares = np.empty((m, model.n))
-    growth = np.empty((m, model.n))
-    sector = np.empty(m)
-    for i in range(m):
-        p = f @ z_arr[i] + alpha * math.exp(-log_arr[i])
-        p = np.maximum(p, 0.0)
-        s = shares_from_productivities(p, nu)
-        v = (s * s_total) ** nu * p
-        shares[i] = s
+    k = np.empty((7, y.size))
+    k[0] = _field(y, *args)[0]
+    evaluations, accepted, rejected = 1, 0, 0
+    t, h, h_min = 0.0, step, 1e-9 * step
+    while t < t_end:
+        last = t + h >= t_end
+        if last:
+            h = t_end - t
+        try:
+            for i in range(1, 7):
+                # the last stage point is the 5th-order solution y_new
+                y_new = y + h * (_A[i] @ k[:i])
+                evaluations += 1
+                k[i] = _field(y_new, *args)[0]
+        except NegativeProductivityError:
+            rejected += 1
+            h *= 0.5
+            if h < h_min:
+                raise
+            continue
+        scale = TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+        err = math.sqrt(np.mean((h * (_E @ k) / scale) ** 2))
+        if not (math.isfinite(err) and np.isfinite(y_new).all()):
+            raise IntegrationBlowupError(
+                f"non-finite state in the step from t = {t}", last_good_time=t
+            )
+        if err > 1.0:
+            rejected += 1
+            h *= max(_FAC_MIN, _SAFETY * err**-0.2)
+            if h < h_min:
+                raise IntegrationBlowupError(
+                    f"step size fell below {h_min:g} at t = {t}", last_good_time=t
+                )
+            continue
+
+        accepted += 1
+        t_new = t_end if last else t + h
+        m = int(np.searchsorted(times_arr, t_new, side="right"))
+        if m > j:
+            # samples in (t, t_new] from the continuous extension (dopri5's contd5)
+            th = ((times_arr[j:m] - t) / h)[:, None]
+            r2 = y_new - y
+            r3 = h * k[0] - r2
+            r4 = r2 - h * k[6] - r3
+            r5 = h * (_D @ k)
+            ys[j:m] = y + th * (r2 + (1 - th) * (r3 + th * (r4 + (1 - th) * r5)))
+            j = m
+        # the error estimate is exactly 0 on solutions linear in t
+        t, y, h = t_new, y_new, h * min(_FAC_MAX, _SAFETY * max(err, 1e-10) ** -0.2)
+        k[0] = k[6]
+    ys[-1] = y  # the final sample is the integrated state itself
+
+    n = model.n
+    shares = np.empty((times_arr.size, n))
+    growth = np.empty((times_arr.size, n))
+    sector = np.empty(times_arr.size)
+    for i, yi in enumerate(ys):
+        _, v, shares[i] = _field(yi, *args)
         sector[i] = v.sum()
+        zi = yi[:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            growth[i] = np.where(z_arr[i] > 0, v / np.where(z_arr[i] > 0, z_arr[i], 1.0), np.nan)
+            growth[i] = np.where(zi > 0, v / np.where(zi > 0, zi, 1.0), np.nan)
 
     return Trajectory(
         times=times_arr,
-        z=z_arr,
-        logsum=log_arr,
+        z=ys[:, :-1],
+        logsum=ys[:, -1],
         shares=shares,
         tech_growth=growth,
         sector_growth=sector,
+        field_evaluations=evaluations,
+        accepted_steps=accepted,
+        rejected_steps=rejected,
     )
 
 

@@ -209,12 +209,18 @@ def solve_support_system(
     singletons, which is the selection the independent-technology case pins
     down analytically.
     """
+    return _solve_support_system(matrix, params, classify(matrix))
+
+
+def _solve_support_system(
+    matrix: SpilloverMatrix, params: EconomyParams, report: StructureReport
+) -> list[LongRunSolution]:
+    """solve_support_system on a matrix whose classification is at hand."""
     n = matrix.n
     if n > SUPPORT_LIMIT:
         raise PreconditionError(
             f"support enumeration handles n <= {SUPPORT_LIMIT}, got {n}"
         )
-    report = classify(matrix)
     if not (matrix.nonnegative or report.eventually_nonnegative[0]):
         raise PreconditionError(
             "long-run analysis requires a nonnegative or eventually "
@@ -310,7 +316,7 @@ def predict_regime(
             break
 
     if exponential_core is not None:
-        candidates = tuple(solve_support_system(matrix, params))
+        candidates = tuple(_solve_support_system(matrix, params, report))
         if len(candidates) == 1:
             survivors: frozenset[int] | None = candidates[0].support
             path_dependent = False

@@ -52,9 +52,14 @@ class NumericalError(SpillnetError):
 
 
 class IntegrationBlowupError(NumericalError):
-    """Integrator produced a non-finite state."""
+    """Integrator produced a non-finite state or could not advance.
 
-    def __init__(self, message: str, last_good_time: float):
+    last_good_time defaults to None so that pickle, which rebuilds an
+    exception from its message alone and then restores its attributes,
+    can carry the error across process boundaries.
+    """
+
+    def __init__(self, message: str, last_good_time: float | None = None):
         super().__init__(message)
         self.last_good_time = last_good_time
 

@@ -79,6 +79,8 @@ class RunReport:
     crosscheck_pass: bool | None
     defaulted: tuple[str, ...]
     outputs: dict[str, str] = field(default_factory=dict)
+    # field evaluations and accepted/rejected steps of the integration
+    integrator: dict[str, int] = field(default_factory=dict)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -298,6 +300,7 @@ def _report_dict(report: RunReport) -> dict:
                 }
                 for e in report.transitions
             ],
+            "integrator": report.integrator,
         },
         "crosscheck_pass": report.crosscheck_pass,
         "outputs": report.outputs,
@@ -420,6 +423,11 @@ def run(
         crosscheck_pass=crosscheck,
         defaulted=scenario.defaulted,
         outputs=outputs,
+        integrator={
+            "field_evaluations": traj.field_evaluations,
+            "accepted_steps": traj.accepted_steps,
+            "rejected_steps": traj.rejected_steps,
+        },
     )
     if outdir is not None:
         (outdir / f"{scenario.name}.report.txt").write_text(_report_text(report))

@@ -104,12 +104,101 @@ def test_consistency_check_halving_reduces_discrepancy_4x(model_factory):
     assert 3.2 < ratio < 4.8
 
 
-def test_step_size_robustness_on_builtins():
+def test_step_size_robustness_on_builtins(raw_rk4):
+    # the adaptive step does not depend on `step`, so agreement is checked
+    # against the independent raw-coordinate oracle at half the scenario step
     for scenario in builtin_scenarios():
         model = validate_model(scenario.matrix, scenario.params, scenario.q0)
-        a = simulate(model, scenario.horizon, step=scenario.step)
-        b = simulate(model, scenario.horizon, step=scenario.step / 2)
-        assert np.abs(a.z[-1] - b.z[-1]).max() < 1e-6, scenario.name
+        traj = simulate(model, scenario.horizon, step=scenario.step)
+        p = scenario.params
+        q_ref = raw_rk4(
+            scenario.matrix.entries, scenario.q0.q, p.nu, p.alpha, p.s_total,
+            scenario.horizon, scenario.step / 2,
+        )
+        assert np.abs(traj.z[-1] - q_ref / q_ref.sum()).max() < 1e-6, scenario.name
+
+
+def test_field_evaluation_budget_on_builtins():
+    for scenario in builtin_scenarios():
+        model = validate_model(scenario.matrix, scenario.params, scenario.q0)
+        traj = simulate(model, scenario.horizon, step=scenario.step)
+        assert 0 < traj.field_evaluations < 5000, scenario.name
+        assert traj.field_evaluations >= 6 * traj.accepted_steps > 0
+
+
+def test_dense_output_matches_raw_integration_between_steps(model_factory, raw_rk4):
+    # samples inside steps come from the 4th-order continuous extension;
+    # dropping its last term shows up here as errors of about 7e-11
+    rows = [[3 / 4, 0, 0, 1], [1 / 2, 1 / 2, 0, 0], [0, 1 / 3, 0, 1], [0, 0, 3, 0]]
+    q0 = [1, 0.1, 0.1, 0.1]
+    model = model_factory(rows, q0=q0)
+    traj = simulate(model, 5.0, step=0.01, sample_every=125)
+    assert traj.times.size == 5
+    assert traj.accepted_steps > traj.times.size
+    for t, z, logsum in zip(traj.times[1:], traj.z[1:], traj.logsum[1:]):
+        q_ref = raw_rk4(np.array(rows, float), q0, 0.5, 0.0, 1.0, t, 1e-3)
+        np.testing.assert_allclose(z, q_ref / q_ref.sum(), atol=3e-12)
+        assert logsum == pytest.approx(math.log(q_ref.sum()), abs=3e-12)
+
+
+def test_nan_field_raises_blowup_at_once(model_factory, monkeypatch):
+    from spillnet import IntegrationBlowupError, dynamics
+
+    calls = []
+
+    def nan_field(y, *args):
+        calls.append(1)
+        if len(calls) > 100:
+            raise RuntimeError("integrator kept going on a NaN field")
+        return np.full_like(y, np.nan), np.full(y.size - 1, np.nan), np.full(y.size - 1, np.nan)
+
+    monkeypatch.setattr(dynamics, "_field", nan_field)
+    with pytest.raises(IntegrationBlowupError) as info:
+        simulate(model_factory([[0, 1], [1, 0]]), 20.0)
+    assert info.value.last_good_time == 0.0
+    assert len(calls) <= 7  # one step: the initial stage plus six more
+
+
+def test_negative_productivity_stage_rejects_step(model_factory, monkeypatch):
+    from spillnet import NegativeProductivityError, dynamics
+
+    model = model_factory([[0, 1], [1, 0]], alpha=0.5)
+    clean = simulate(model, 5.0)
+    field = dynamics._field
+    calls = []
+
+    def flaky_field(y, *args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise NegativeProductivityError("transient")
+        return field(y, *args)
+
+    monkeypatch.setattr(dynamics, "_field", flaky_field)
+    traj = simulate(model, 5.0)
+    assert traj.rejected_steps >= 1
+    np.testing.assert_allclose(traj.z, clean.z, atol=1e-10)
+    np.testing.assert_allclose(traj.logsum, clean.logsum, atol=1e-10)
+
+
+def test_persistent_negative_productivity_is_reraised(model_factory, monkeypatch):
+    from spillnet import NegativeProductivityError, dynamics
+
+    field = dynamics._field
+    calls = []
+
+    def failing_field(y, *args):
+        calls.append(1)
+        if len(calls) > 100:
+            raise RuntimeError("integrator kept halving the step")
+        if len(calls) > 1:
+            raise NegativeProductivityError("persistent")
+        return field(y, *args)
+
+    monkeypatch.setattr(dynamics, "_field", failing_field)
+    with pytest.raises(NegativeProductivityError):
+        simulate(model_factory([[0, 1], [1, 0]]), 5.0)
+    # halving from step to 1e-9 * step takes about 30 rejections
+    assert len(calls) < 40
 
 
 def test_nonreceivers_lose_all_scientists(model_factory):
@@ -222,6 +311,17 @@ def test_blowup_error_carries_last_good_time():
     from spillnet import IntegrationBlowupError
 
     err = IntegrationBlowupError("boom", last_good_time=3.5)
+    assert err.last_good_time == 3.5
+
+
+def test_blowup_error_survives_pickle():
+    import pickle
+
+    from spillnet import IntegrationBlowupError
+
+    err = pickle.loads(pickle.dumps(IntegrationBlowupError("boom", last_good_time=3.5)))
+    assert isinstance(err, IntegrationBlowupError)
+    assert str(err) == "boom"
     assert err.last_good_time == 3.5
 
 

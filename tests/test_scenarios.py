@@ -167,6 +167,30 @@ def test_run_circular_end_to_end(tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_report_json_carries_integrator_counts(tmp_path):
+    report = run(builtin_scenario("fig12-circular"), outdir=tmp_path, charts=False)
+    data = json.loads((tmp_path / "fig12-circular.report.json").read_text())
+    counts = data["simulation"]["integrator"]
+    assert counts == report.integrator
+    assert set(counts) == {"field_evaluations", "accepted_steps", "rejected_steps"}
+    assert counts["field_evaluations"] >= 6 * counts["accepted_steps"] > 0
+
+
+def test_run_classifies_once(monkeypatch):
+    from spillnet import longrun, scenarios, structure
+
+    calls = []
+
+    def counting_classify(matrix):
+        calls.append(matrix)
+        return structure.classify(matrix)
+
+    monkeypatch.setattr(scenarios, "classify", counting_classify)
+    monkeypatch.setattr(longrun, "classify", counting_classify)
+    run(builtin_scenario("fig12-circular"), outdir=None)
+    assert len(calls) == 1
+
+
 def test_run_outputs_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
