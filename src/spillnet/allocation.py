@@ -35,7 +35,9 @@ class AllocationShares:
 
 
 def shares_from_productivities(p: np.ndarray, nu: float) -> np.ndarray:
-    """Simplex of shares from raw R&D productivities p_i = F_i q + alpha.
+    """Simplex of shares from raw R&D productivities p_i = F_i q + alpha,
+    along the last axis, so a stack of productivity vectors gives a stack
+    of share vectors.
 
     Productivities are normalized by their maximum before exponentiation:
     shares are homogeneous of degree zero in p, and the rescaling prevents
@@ -43,11 +45,18 @@ def shares_from_productivities(p: np.ndarray, nu: float) -> np.ndarray:
     are indistinguishable, which yields the uniform allocation.
     """
     p = np.asarray(p, dtype=float)
-    pmax = p.max()
-    if pmax <= 0.0:
-        return np.full(p.shape, 1.0 / p.size)
-    w = (p / pmax) ** (1.0 / (1.0 - nu))
-    return w / w.sum()
+    # transposed, a stack of vectors reduces to one value per vector and a
+    # single vector to a scalar, which keeps the one-vector call as cheap
+    # as scalar arithmetic
+    pt = p.T
+    pmax = np.maximum.reduce(pt)
+    flat = pmax <= 0.0
+    # a stack is masked vector by vector; a single vector only when flat
+    if flat.ndim or flat:
+        pt = np.where(flat, 1.0, pt)
+        pmax = np.where(flat, 1.0, pmax)
+    w = (pt / pmax) ** (1.0 / (1.0 - nu))
+    return (w / np.add.reduce(w)).T
 
 
 def compute_shares(

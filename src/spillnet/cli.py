@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .longrun import predict_regime, solve_support_system
+from .longrun import _solve_support_system, predict_regime
 from .model import NumericalError, SpillnetError, ValidationError
 from .scenarios import builtin_scenarios, load_scenario, run, structure_lines
 from .structure import classify
@@ -71,7 +71,7 @@ def _cmd_longrun(args) -> int:
     solutions = (
         list(prediction.candidates)
         if prediction.candidates
-        else solve_support_system(scenario.matrix, scenario.params)
+        else _solve_support_system(scenario.matrix, scenario.params, report)
     )
     if not solutions:
         print("no growing long-run solution")

@@ -97,27 +97,32 @@ class GrowthSeries:
 
 
 def _field(y, f, nu, alpha, s_total):
-    """(ydot, v, shares) at the stacked scale-free state y = (z, L).
+    """(ydot, v, shares) at the stacked scale-free state y = (z, L), along
+    the last axis: one state, or a stack of states in the rows of y.
 
     Tiny negative productivities near extinct technologies are roundoff
     and clamp to zero; anything larger raises NegativeProductivityError.
     """
-    z = y[:-1]
-    p = f @ z + alpha * math.exp(-y[-1])
-    pmin = p.min()
-    if pmin < 0:
-        if pmin < -1e-12 * max(1.0, np.abs(p).max()):
+    # states in columns: the per-state sums of one state are scalars, and
+    # its decay term takes math.exp, which is cheaper on a scalar
+    yt = y.T
+    z = yt[:-1]
+    decay = math.exp(-y[-1]) if y.ndim == 1 else np.exp(-yt[-1])
+    p = f @ z + alpha * decay
+    if p.min() < 0:
+        pmin = p.min(axis=0)
+        if np.any(pmin < -1e-12 * np.maximum(1.0, np.abs(p).max(axis=0))):
             raise NegativeProductivityError(
-                f"productivity went negative during integration (min {pmin})"
+                f"productivity went negative during integration (min {pmin.min()})"
             )
         p = np.maximum(p, 0.0)
-    s = shares_from_productivities(p, nu)
+    s = shares_from_productivities(p.T, nu).T
     v = (s * s_total) ** nu * p
-    total = v.sum()
-    ydot = np.empty_like(y)
+    total = np.add.reduce(v)
+    ydot = np.empty_like(yt)
     ydot[:-1] = v - total * z
     ydot[-1] = total
-    return ydot, v, s
+    return ydot.T, v.T, s.T
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -168,8 +173,8 @@ def simulate(
     4th-order continuous extension.  A stage with negative productivity
     rejects the step and halves it; the error is re-raised once the step
     falls below 1e-9 * step.  A non-finite trial state or error estimate
-    raises IntegrationBlowupError at once.  Shares and growth rates are
-    recomputed from each sample with the integration field.
+    raises IntegrationBlowupError at once.  Shares and growth rates come
+    from one call of the integration field on all samples at once.
     """
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -256,24 +261,18 @@ def simulate(
         k[0] = k[6]
     ys[-1] = y  # the final sample is the integrated state itself
 
-    n = model.n
-    shares = np.empty((times_arr.size, n))
-    growth = np.empty((times_arr.size, n))
-    sector = np.empty(times_arr.size)
-    for i, yi in enumerate(ys):
-        _, v, shares[i] = _field(yi, *args)
-        sector[i] = v.sum()
-        zi = yi[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            growth[i] = np.where(zi > 0, v / np.where(zi > 0, zi, 1.0), np.nan)
+    ydot, v, shares = _field(ys, *args)
+    zs = ys[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        growth = np.where(zs > 0, v / np.where(zs > 0, zs, 1.0), np.nan)
 
     return Trajectory(
         times=times_arr,
-        z=ys[:, :-1],
+        z=zs,
         logsum=ys[:, -1],
         shares=shares,
         tech_growth=growth,
-        sector_growth=sector,
+        sector_growth=ydot[:, -1],
         field_evaluations=evaluations,
         accepted_steps=accepted,
         rejected_steps=rejected,

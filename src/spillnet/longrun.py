@@ -14,7 +14,6 @@ which simulation resolves.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from .model import (
 )
 from .structure import StructureReport, classify, closure
 
-EXHAUSTIVE_LIMIT = 12
 SUPPORT_LIMIT = 20
 
 _DAMPING = 0.5
@@ -150,50 +148,45 @@ def _pairwise_residual(z, f_sub, nu) -> float:
 
 
 def _candidate_supports(f: np.ndarray, report: StructureReport) -> list[frozenset[int]]:
+    """Every admissible support, ordered by size and then by its sorted
+    members.
+
+    A support is admissible when every member has a positive inflow from
+    within it and it exerts no influence (no nonzero entry) on any outside
+    technology.  The admissible supports are exactly the admissible unions
+    of core closures (a core together with everything it reaches):
+
+    - a support that influences no outsider contains everything its members
+      reach, so with any member of a core it contains the core's closure;
+    - following positive inflows backwards from a member stays inside the
+      support and, the support being finite, closes a positive cycle,
+      which lies in a core; the member is reached from that core.
+
+    So a support is the union of the closures of the cores it contains.
+    Conversely every union of closures influences no outsider, and only
+    the positive-inflow condition remains to be checked.
+    """
     n = f.shape[0]
-    positive = f > 0
-    nonzero = f != 0
-
-    def admissible(mask: np.ndarray) -> bool:
-        inside = np.flatnonzero(mask)
-        outside = np.flatnonzero(~mask)
-        # every member needs a positive inflow from within the support
-        if not np.all(positive[np.ix_(inside, inside)].any(axis=1)):
-            return False
-        # exclusion of outsiders is only stable when the support exerts no
-        # influence on them
-        if outside.size and nonzero[np.ix_(outside, inside)].any():
-            return False
-        return True
-
-    candidates = []
-    if n <= EXHAUSTIVE_LIMIT:
-        for r in range(1, n + 1):
-            for combo in itertools.combinations(range(n), r):
-                mask = np.zeros(n, dtype=bool)
-                mask[list(combo)] = True
-                if admissible(mask):
-                    candidates.append(frozenset(combo))
-    else:
-        # only unions of cores together with everything they feed can
-        # satisfy the closure conditions, so enumerate those
-        reach = report.closure
-        core_closures = []
-        for core in report.cores:
-            mask = np.zeros(n, dtype=bool)
-            mask[list(core)] = True
-            fed = reach[:, mask].any(axis=1)
-            core_closures.append(frozenset(np.flatnonzero(mask | fed).tolist()))
-        core_closures = sorted(set(core_closures), key=sorted)
-        for r in range(1, len(core_closures) + 1):
-            for combo in itertools.combinations(core_closures, r):
-                merged = frozenset().union(*combo)
-                mask = np.zeros(n, dtype=bool)
-                mask[list(merged)] = True
-                if admissible(mask):
-                    candidates.append(merged)
-        candidates = sorted(set(candidates), key=sorted)
-    return candidates
+    reach = report.closure
+    closures = set()
+    for core in report.cores:
+        mask = np.zeros(n, dtype=bool)
+        mask[list(core)] = True
+        mask |= reach[:, mask].any(axis=1)
+        closures.add(int(mask @ (1 << np.arange(n))))
+    unions: set[int] = set()
+    for c in closures:
+        unions |= {u | c for u in unions}
+        unions.add(c)
+    if not unions:
+        return []
+    masks = np.array(sorted(unions))
+    members = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    # every member needs a positive inflow from within the support
+    fed = members @ (f > 0).T
+    members = members[(fed | ~members).all(axis=1)]
+    supports = [frozenset(np.flatnonzero(row).tolist()) for row in members]
+    return sorted(supports, key=lambda c: (len(c), sorted(c)))
 
 
 def solve_support_system(
@@ -202,12 +195,13 @@ def solve_support_system(
     """All stable candidate surviving sets with their relative qualities,
     asymptotic shares, and common growth rate.
 
-    A support is accepted iff its fixed point converges, stays strictly
-    positive, satisfies the pairwise equations to within 1e-9, excludes
-    every outside technology structurally, and does not repel within its
-    own simplex.  Diagonal matrices short-circuit to the max-intra-spillover
-    singletons, which is the selection the independent-technology case pins
-    down analytically.
+    A support is accepted iff its fixed point converges, stays positive
+    (at least 1e-6 on every member, or above 0 on a support whose nonzero
+    spillovers connect it strongly), satisfies the pairwise equations to
+    within 1e-9, excludes every outside technology structurally, and does
+    not repel within its own simplex.  Diagonal matrices short-circuit to
+    the max-intra-spillover singletons, which is the selection the
+    independent-technology case pins down analytically.
     """
     return _solve_support_system(matrix, params, classify(matrix))
 
@@ -257,7 +251,10 @@ def _solve_support_system(
         if solved is None:
             continue
         idx, f_sub, z = solved
-        if z.min() < _POSITIVITY_FLOOR:
+        # Perron-Frobenius gives z* > 0 on a strongly connected support, so
+        # any positive z is accepted there, however small its entries
+        floor = 0.0 if closure(f_sub != 0).all() else _POSITIVITY_FLOOR
+        if z.min() <= 0.0 or z.min() < floor:
             continue
         residual = _pairwise_residual(z, f_sub, params.nu)
         if residual >= _RESIDUAL_TOL:

@@ -217,10 +217,6 @@ def builtin_scenario(name: str) -> Scenario:
     raise KeyError(f"no built-in scenario named {name!r}")
 
 
-def _float_repr(x: float) -> str:
-    return repr(float(x))
-
-
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV text with columns t, q_1..q_n, s_1..s_n, g_1..g_n, g_YL, logsum.
 
@@ -240,15 +236,12 @@ def trajectory_csv(traj: Trajectory) -> str:
     )
     lines.append(",".join(header))
     q_cols = traj.z if normalized else traj.z * np.exp(traj.logsum)[:, None]
-    for k in range(traj.times.size):
-        row = (
-            [_float_repr(traj.times[k])]
-            + [_float_repr(v) for v in q_cols[k]]
-            + [_float_repr(v) for v in traj.shares[k]]
-            + [_float_repr(v) for v in traj.tech_growth[k]]
-            + [_float_repr(traj.sector_growth[k]), _float_repr(traj.logsum[k])]
-        )
-        lines.append(",".join(row))
+    table = np.column_stack(
+        (traj.times, q_cols, traj.shares, traj.tech_growth,
+         traj.sector_growth, traj.logsum)
+    )
+    # repr of a Python float is the shortest text that parses back exactly
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 

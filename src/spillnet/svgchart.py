@@ -82,12 +82,15 @@ def _panel(title, times, series, labels, y0):
                 f'<text x="{x:.1f}" y="{y0 + _H - _MB + 14}" font-size="10" '
                 f'text-anchor="middle">{_fmt(v)}</text>'
             )
-    for k, (lab, ys) in enumerate(zip(labels, np.atleast_2d(finite))):
+    # sx and sy applied to whole arrays: every polyline point at once
+    rows = np.atleast_2d(finite)
+    xs = sx(np.asarray(times, dtype=float))
+    for k, (lab, values, y_row) in enumerate(zip(labels, rows, sy(rows))):
         color = _PALETTE[k % len(_PALETTE)]
+        keep = np.isfinite(values)
         pts = [
-            f"{sx(t):.2f},{sy(v):.2f}"
-            for t, v in zip(times, ys)
-            if math.isfinite(v)
+            f"{x:.2f},{y:.2f}"
+            for x, y in zip(xs[keep].tolist(), y_row[keep].tolist())
         ]
         if pts:
             parts.append(

@@ -12,6 +12,7 @@ from spillnet import (
     SpilloverMatrix,
     compute_shares,
     market_statics,
+    shares_from_productivities,
 )
 
 P = EconomyParams(nu=0.5, alpha=1.0, s_total=1.0, c=1.0)
@@ -25,6 +26,14 @@ def test_zero_matrix_gives_uniform_shares():
     out = compute_shares(SpilloverMatrix(np.zeros((3, 3))), q(5, 1, 0.2), P)
     np.testing.assert_allclose(out.shares, 1 / 3)
     np.testing.assert_allclose(out.scientists.sum(), P.s_total)
+
+
+def test_stacked_productivities_give_shares_row_by_row():
+    p = np.array([[2.0, 1.0, 0.5], [0.0, 0.0, 0.0], [1e-300, 3.0, 3.0]])
+    stacked = shares_from_productivities(p, 0.6)
+    for row, shares in zip(p, stacked):
+        np.testing.assert_array_equal(shares, shares_from_productivities(row, 0.6))
+    np.testing.assert_array_equal(stacked[1], 1 / 3)
 
 
 def test_two_to_one_productivity_gives_four_to_one_shares():

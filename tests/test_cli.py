@@ -29,6 +29,24 @@ def test_longrun_command(scenario_file, capsys):
     assert "support [0, 1, 2, 3]" in out
 
 
+def test_longrun_command_classifies_once(tmp_path, monkeypatch, capsys):
+    from spillnet import cli, longrun, structure
+
+    path = tmp_path / "oneway.json"
+    write_scenario(builtin_scenario("fig12-oneway"), path)
+    calls = []
+
+    def counting_classify(matrix):
+        calls.append(matrix)
+        return structure.classify(matrix)
+
+    monkeypatch.setattr(cli, "classify", counting_classify)
+    monkeypatch.setattr(longrun, "classify", counting_classify)
+    assert main(["longrun", str(path)]) == 0
+    assert "polynomial" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_simulate_command_writes_outputs(scenario_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     code = main(

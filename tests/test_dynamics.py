@@ -239,6 +239,22 @@ def test_undefined_growth_flagged_at_zero_quality(model_factory):
     assert np.isfinite(traj.sector_growth).all()
 
 
+def test_batched_sample_pass_matches_per_state_field():
+    from spillnet import dynamics
+
+    for scenario in builtin_scenarios():
+        model = validate_model(scenario.matrix, scenario.params, scenario.q0)
+        traj = simulate(model, scenario.horizon, step=scenario.step)
+        p = model.params
+        args = (model.matrix.entries, p.nu, p.alpha, p.s_total)
+        for i, (z, logsum) in enumerate(zip(traj.z, traj.logsum)):
+            _, v, shares = dynamics._field(np.append(z, logsum), *args)
+            growth = np.where(z > 0, v / np.where(z > 0, z, 1.0), np.nan)
+            np.testing.assert_allclose(traj.shares[i], shares, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(traj.tech_growth[i], growth, rtol=1e-14, atol=1e-14)
+            assert traj.sector_growth[i] == pytest.approx(v.sum(), rel=1e-14, abs=1e-14)
+
+
 def _synthetic_trajectory(times, shares):
     times = np.asarray(times, float)
     shares = np.asarray(shares, float)

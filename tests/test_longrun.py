@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -137,9 +139,9 @@ def test_support_size_precondition():
 
 
 def test_large_n_core_reachability_pruning():
-    # 13 technologies forces the pruned enumeration: two 3-cycles of
-    # different weight, each feeding one downstream technology, plus five
-    # isolated ones; the only candidate supports are the core closures
+    # 13 technologies: two 3-cycles of different weight, each feeding one
+    # downstream technology, plus five isolated ones; the only candidate
+    # supports are the core closures
     n = 13
     f = np.zeros((n, n))
     for a, b, w in [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]:
@@ -156,6 +158,87 @@ def test_large_n_core_reachability_pruning():
     for sol in sols:
         assert sol.residual < 1e-9
         assert np.all(sol.z_star[sorted(sol.support)] > 0)
+
+
+def brute_force_supports(f):
+    """Every subset, smallest first, that is admissible as a support: each
+    member has a positive inflow from inside, and no outsider receives a
+    nonzero spillover from inside."""
+    n = f.shape[0]
+    found = []
+    for r in range(1, n + 1):
+        for combo in itertools.combinations(range(n), r):
+            inside = list(combo)
+            outside = [i for i in range(n) if i not in combo]
+            if not (f[np.ix_(inside, inside)] > 0).any(axis=1).all():
+                continue
+            if outside and (f[np.ix_(outside, inside)] != 0).any():
+                continue
+            found.append(frozenset(combo))
+    return found
+
+
+def random_structured_matrix(rng):
+    n = int(rng.integers(1, 11))
+    f = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.6))
+    if rng.random() < 0.5:
+        # block structure: receive only from the same or a lower level, so
+        # upstream cores feed downstream ones and reducible supports appear
+        level = rng.integers(0, 3, n)
+        f *= level[:, None] >= level[None, :]
+        if rng.random() < 0.3:
+            f *= level[:, None] == level[None, :]
+    if rng.random() < 0.3:
+        f *= np.where(rng.random((n, n)) < 0.15, -1.0, 1.0)
+    return f
+
+
+def test_candidate_supports_match_brute_force_subsets():
+    from spillnet.longrun import _candidate_supports
+
+    rng = np.random.default_rng(7)
+    several = 0
+    for _ in range(150):
+        f = random_structured_matrix(rng)
+        expected = brute_force_supports(f)
+        got = _candidate_supports(f, classify(SpilloverMatrix(f)))
+        assert got == expected
+        several += len(expected) >= 2
+    assert several >= 20  # multi-candidate cases are where the order matters
+
+
+def test_candidate_supports_order_by_size_then_members_at_n16():
+    from spillnet.longrun import _candidate_supports
+
+    f = np.zeros((16, 16))
+    f[0, 1] = f[1, 0] = 1.0  # core A feeds the chain 2..6
+    for i in range(2, 7):
+        f[i, i - 1] = 1.0
+    f[10, 11] = f[11, 10] = 1.0  # core B
+    f[13, 13] = 1.0  # core C, a self-spillover, feeds 14
+    f[14, 13] = 1.0
+    a, b, c = set(range(7)), {10, 11}, {13, 14}
+    expected = [b, c, b | c, a, a | b, a | c, a | b | c]
+    got = _candidate_supports(f, classify(SpilloverMatrix(f)))
+    assert got == [frozenset(s) for s in expected]
+
+
+def test_tiny_positive_fixed_point_accepted_on_irreducible_network():
+    # converges to min z* ~ 2e-15: an absolute positivity floor rejected it
+    # and left an irreducible network with zero candidates
+    from spillnet import simulate, validate_model
+
+    rng = np.random.default_rng(1)
+    f = (rng.random((8, 8)) < 0.5) * rng.random((8, 8))
+    matrix = SpilloverMatrix(f)
+    assert classify(matrix).irreducible
+    prediction = predict_regime(classify(matrix), matrix, P0)
+    assert [c.support for c in prediction.candidates] == [frozenset(range(8))]
+    assert not prediction.initial_condition_dependent
+    g = prediction.candidates[0].growth_rate
+    assert g == pytest.approx(0.787786, abs=1e-6)
+    traj = simulate(validate_model(matrix, P0, QualityState(0.0, np.ones(8))), 60.0)
+    assert traj.sector_growth[-1] == pytest.approx(g, abs=1e-8)
 
 
 def test_not_eventually_nonnegative_rejected():

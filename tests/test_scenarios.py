@@ -152,6 +152,59 @@ def test_csv_switches_to_normalized_on_overflow_scale():
     assert "inf" not in text
 
 
+def _csv_columns_round_trip(traj, q_cols):
+    lines = trajectory_csv(traj).splitlines()[2:]
+    table = np.array([[float(v) for v in line.split(",")] for line in lines])
+    expected = np.column_stack(
+        (traj.times, q_cols, traj.shares, traj.tech_growth,
+         traj.sector_growth, traj.logsum)
+    )
+    assert table.shape == expected.shape
+    # bit for bit, NaN growth of zero-quality technologies included
+    assert table.tobytes() == expected.tobytes()
+
+
+def test_csv_values_parse_back_bit_for_bit(model_factory):
+    s = builtin_scenario("fig4-transitions")
+    traj = simulate(validate_model(s.matrix, s.params, s.q0), 20.0)
+    _csv_columns_round_trip(traj, traj.z * np.exp(traj.logsum)[:, None])
+    traj = simulate(model_factory([[0, 0], [0, 0]], alpha=1.0, q0=[1.0, 0.0]), 1.0)
+    assert np.isnan(traj.tech_growth).any()
+    _csv_columns_round_trip(traj, traj.z * np.exp(traj.logsum)[:, None])
+    boosted = type(traj)(
+        times=traj.times, z=traj.z, logsum=traj.logsum + 800.0,
+        shares=traj.shares, tech_growth=traj.tech_growth,
+        sector_growth=traj.sector_growth,
+    )
+    _csv_columns_round_trip(boosted, boosted.z)
+
+
+def test_chart_polylines_match_pointwise_scaling():
+    import re
+
+    from spillnet.svgchart import _H, _MB, _ML, _MR, _MT, _W, _panel
+
+    s = builtin_scenario("fig12-oneway")
+    traj = simulate(validate_model(s.matrix, s.params, s.q0), 20.0)
+    series = traj.tech_growth.T.copy()
+    series[1, ::7] = np.nan  # gaps are left out of the line
+    parts = _panel("growth", traj.times, series, ["a", "b", "c", "d"], _H)
+    finite = series[np.isfinite(series)]
+    lo, hi = finite.min(), finite.max()
+    lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+    t0, t1 = float(traj.times[0]), float(traj.times[-1])
+    lines = [m.group(1) for m in map(re.compile('points="([^"]*)"').search, parts) if m]
+    assert len(lines) == 4
+    for line, values in zip(lines, series):
+        expected = " ".join(
+            f"{_ML + (t - t0) / (t1 - t0) * (_W - _ML - _MR):.2f},"
+            f"{_H + _MT + (hi - v) / (hi - lo) * (_H - _MT - _MB):.2f}"
+            for t, v in zip(traj.times, values)
+            if np.isfinite(v)
+        )
+        assert line == expected
+
+
 def test_run_circular_end_to_end(tmp_path):
     report = run(builtin_scenario("fig12-circular"), outdir=tmp_path)
     assert report.prediction.regime == "exponential"
