@@ -34,10 +34,10 @@ class AllocationShares:
     scientists: np.ndarray
 
 
-def shares_from_productivities(p: np.ndarray, nu: float) -> np.ndarray:
+def shares_from_productivities(p: np.ndarray, nu: float | np.ndarray) -> np.ndarray:
     """Simplex of shares from raw R&D productivities p_i = F_i q + alpha,
     along the last axis, so a stack of productivity vectors gives a stack
-    of share vectors.
+    of share vectors.  nu is one exponent, or one per vector of the stack.
 
     Productivities are normalized by their maximum before exponentiation:
     shares are homogeneous of degree zero in p, and the rescaling prevents
@@ -51,8 +51,8 @@ def shares_from_productivities(p: np.ndarray, nu: float) -> np.ndarray:
     pt = p.T
     pmax = np.maximum.reduce(pt)
     flat = pmax <= 0.0
-    # a stack is masked vector by vector; a single vector only when flat
-    if flat.ndim or flat:
+    # masked only when some vector is flat; a stack vector by vector
+    if flat.any() if flat.ndim else flat:
         pt = np.where(flat, 1.0, pt)
         pmax = np.where(flat, 1.0, pmax)
     w = (pt / pmax) ** (1.0 / (1.0 - nu))

@@ -9,13 +9,22 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .longrun import _solve_support_system, predict_regime
 from .model import NumericalError, SpillnetError, ValidationError
-from .scenarios import builtin_scenarios, load_scenario, run, structure_lines
+from .scenarios import (
+    RunReport,
+    Scenario,
+    builtin_scenarios,
+    load_scenario,
+    run,
+    run_many,
+    structure_lines,
+)
 from .structure import classify
 
 EXIT_OK = 0
@@ -88,40 +97,63 @@ def _cmd_longrun(args) -> int:
 
 def _cmd_paper_figs(args) -> int:
     outdir = Path(args.out)
-    for scenario in builtin_scenarios():
-        report = run(scenario, outdir=outdir)
-        status = report.prediction.regime
-        print(f"{scenario.name}: regime={status}, "
+    scenarios = builtin_scenarios()
+    for scenario, report in zip(scenarios, run_many(scenarios, outdir=outdir)):
+        if not isinstance(report, RunReport):
+            raise report
+        print(f"{scenario.name}: regime={report.prediction.regime}, "
               f"terminal g={report.convergence.growth_rate:.6g}")
     print(f"outputs in {outdir}")
     return EXIT_OK
 
 
-def _run_one(path: str, out: str | None) -> tuple[str, dict, int]:
-    """Run one scenario file in a sweep worker: (name, sweep.json entry,
-    exit code).  A failure becomes an error entry keyed by the file stem,
-    since an exception does not always survive the trip back to the parent
+def _error_outcome(stem: str, e: SpillnetError | OSError) -> tuple[str, dict, int]:
+    """A failure as a sweep.json entry keyed by the file stem, since an
+    exception does not always survive the trip back to the parent
     process."""
-    try:
-        scenario = load_scenario(path)
-        report = run(scenario, outdir=out)
-    except (SpillnetError, OSError) as e:
-        return Path(path).stem, {"error": f"{type(e).__name__}: {e}"}, _failure(e)[0]
-    entry = {
-        "regime": report.prediction.regime,
-        "terminal_growth": report.convergence.growth_rate,
-    }
-    return scenario.name, entry, EXIT_OK
+    return stem, {"error": f"{type(e).__name__}: {e}"}, _failure(e)[0]
+
+
+def _run_group(jobs: list[tuple[int, str, Scenario]], out: str | None) -> list:
+    """Run one sweep worker's scenarios as one batch: (file index, name,
+    sweep.json entry, exit code) per scenario."""
+    reports = run_many([scenario for _, _, scenario in jobs], outdir=out)
+    outcomes = []
+    for (index, stem, scenario), report in zip(jobs, reports):
+        if isinstance(report, RunReport):
+            entry = {
+                "regime": report.prediction.regime,
+                "terminal_growth": report.convergence.growth_rate,
+            }
+            outcomes.append((index, scenario.name, entry, EXIT_OK))
+        else:
+            outcomes.append((index, *_error_outcome(stem, report)))
+    return outcomes
 
 
 def _cmd_sweep(args) -> int:
     files = sorted(Path(args.dir).glob("*.json"))
     if not files:
         raise ValidationError(f"no scenario JSON files in {args.dir}")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-        futures = [pool.submit(_run_one, str(f), args.out) for f in files]
-        outcomes = [future.result() for future in futures]
-    for name, entry, _ in sorted(outcomes, key=lambda o: o[0]):
+    outcomes = []
+    jobs = []
+    for index, path in enumerate(files):
+        try:
+            jobs.append((index, path.stem, load_scenario(path)))
+        except (SpillnetError, OSError) as e:
+            outcomes.append((index, *_error_outcome(path.stem, e)))
+    # deal the scenarios round-robin, costliest first, so that every group
+    # gets a similar mix of expected step counts
+    jobs.sort(key=lambda job: (job[2].horizon / job[2].step, job[2].matrix.n), reverse=True)
+    workers = args.workers or os.cpu_count() or 1
+    groups = [jobs[w::workers] for w in range(min(workers, len(jobs)))]
+    if groups:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            futures = [pool.submit(_run_group, group, args.out) for group in groups]
+            for future in futures:
+                outcomes += future.result()
+    outcomes.sort(key=lambda o: o[0])
+    for _, name, entry, _ in sorted(outcomes, key=lambda o: o[1]):
         if "error" in entry:
             print(f"{name}: {entry['error']}", file=sys.stderr)
         else:
@@ -129,11 +161,11 @@ def _cmd_sweep(args) -> int:
                   f"terminal g={entry['terminal_growth']:.6g}")
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        index = {name: entry for name, entry, _ in outcomes}
+        index = {name: entry for _, name, entry, _ in outcomes}
         Path(args.out, "sweep.json").write_text(
             json.dumps(index, indent=2, sort_keys=True) + "\n"
         )
-    return next((code for _, _, code in outcomes if code != EXIT_OK), EXIT_OK)
+    return next((code for _, _, _, code in outcomes if code != EXIT_OK), EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,11 +17,14 @@ The stacked state (z, L) is integrated with the embedded Dormand-Prince
 5(4) pair (Dormand & Prince 1980) under local error control at tolerance
 TOL, and the fixed sample grid is filled from the pair's 4th-order
 continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).
+Many economies are integrated in lock step as rows of one stacked state,
+so that each step's interpreter overhead is paid once for all of them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,7 @@ from .model import (
     IntegrationBlowupError,
     Model,
     NegativeProductivityError,
+    SpillnetError,
 )
 
 DEFAULT_STEP = 1e-2
@@ -96,25 +100,36 @@ class GrowthSeries:
     logsum_rate: np.ndarray
 
 
-def _field(y, f, nu, alpha, s_total):
-    """(ydot, v, shares) at the stacked scale-free state y = (z, L), along
-    the last axis: one state, or a stack of states in the rows of y.
+def _field(y, f, nu, alpha, s_total, active=None):
+    """(ydot, v, shares, negative) at the stacked scale-free state
+    y = (z, L), along the last axis.
+
+    Either one economy (f of shape (n, n), scalar parameters) at one state
+    or at a stack of states in the rows of y, or a stack of B economies
+    (f of shape (B, n, n), parameters of shape (B,) or scalars) at one
+    state each.  In a stack of economies padded to a common n, `active`
+    (B, n) marks each row's own technologies.  A padding technology has a
+    zero row in f, but alpha * exp(-L) would still give it productivity
+    and so scientists; masking that term leaves it p = 0 exactly, and so
+    share 0 (or, when no technology of the row has productivity, a share
+    that does nothing, since v = 0 then).
 
     Tiny negative productivities near extinct technologies are roundoff
-    and clamp to zero; anything larger raises NegativeProductivityError.
+    and clamp to zero.  `negative` is None when there are no others, and
+    otherwise flags (per state) where productivity went clearly negative.
     """
-    # states in columns: the per-state sums of one state are scalars, and
-    # its decay term takes math.exp, which is cheaper on a scalar
+    # states in columns: per-state parameters broadcast along the last
+    # axis, and the per-state sums of one state are scalars
     yt = y.T
     z = yt[:-1]
-    decay = math.exp(-y[-1]) if y.ndim == 1 else np.exp(-yt[-1])
-    p = f @ z + alpha * decay
+    decay = alpha * np.exp(-yt[-1])
+    if active is not None:
+        decay = decay * active.T
+    p = np.matmul(f, y[..., :-1, None])[..., 0].T + decay
+    negative = None
     if p.min() < 0:
-        pmin = p.min(axis=0)
-        if np.any(pmin < -1e-12 * np.maximum(1.0, np.abs(p).max(axis=0))):
-            raise NegativeProductivityError(
-                f"productivity went negative during integration (min {pmin.min()})"
-            )
+        pmin = np.minimum.reduce(p)
+        negative = pmin < -1e-12 * np.maximum(1.0, np.maximum.reduce(np.abs(p)))
         p = np.maximum(p, 0.0)
     s = shares_from_productivities(p.T, nu).T
     v = (s * s_total) ** nu * p
@@ -122,7 +137,7 @@ def _field(y, f, nu, alpha, s_total):
     ydot = np.empty_like(yt)
     ydot[:-1] = v - total * z
     ydot[-1] = total
-    return ydot.T, v.T, s.T
+    return ydot.T, v.T, s.T, negative
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -153,49 +168,21 @@ _D = np.array(
     ]
 )
 
+# the continuous extension as weights on the stages: with
+# u = theta (1 - theta), y(theta) = y + h basis(theta) @ _DENSE @ k for
+# basis(theta) = (theta, u, theta u, u^2), dopri5's
+# y + theta (r2 + (1 - theta) (r3 + theta (r4 + (1 - theta) r5))) written
+# out with r2 = h _A[6] k, r3 = h k_1 - r2, r4 = r2 - h k_7 - r3, r5 = h _D k
+_A6 = np.append(_A[6], 0.0)
+_FIRST, _LAST = np.eye(7)[0], np.eye(7)[6]
+_DENSE = np.array([_A6, _FIRST - _A6, 2 * _A6 - _FIRST - _LAST, _D])
+
 TOL = 1e-12
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
 
 
-def simulate(
-    model: Model,
-    t_end: float,
-    step: float = DEFAULT_STEP,
-    sample_every: int = 10,
-) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) integration of the closed loop.
-
-    Each step is accepted when the mixed RMS norm of the embedded error
-    estimate, scaled componentwise by TOL * (1 + max(|y|, |y_new|)) on the
-    stacked (z, L) state, is at most 1.  `step` and `sample_every` fix
-    only the initial step and the sample grid: samples at multiples of
-    sample_every * step and always at t_end, filled from the pair's
-    4th-order continuous extension.  A stage with negative productivity
-    rejects the step and halves it; the error is re-raised once the step
-    falls below 1e-9 * step.  A non-finite trial state or error estimate
-    raises IntegrationBlowupError at once.  Shares and growth rates come
-    from one call of the integration field on all samples at once.
-    """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-
-    args = (
-        model.matrix.entries, model.params.nu, model.params.alpha,
-        model.params.s_total,
-    )
-
-    q0 = model.q0.q
-    total0 = q0.sum()
-    if total0 <= 0:
-        raise DegenerateEconomyError(
-            "initial qualities sum to zero; scale-free state undefined"
-        )
-    y = np.append(q0 / total0, math.log(total0))
-
+def _sample_times(t_end: float, step: float, sample_every: int) -> np.ndarray:
+    """Multiples of sample_every * step up to t_end, and t_end itself."""
     n_full = int(math.floor(t_end / step + 1e-12))
     remainder = t_end - n_full * step
     times = [0.0] + [k * step for k in range(sample_every, n_full + 1, sample_every)]
@@ -204,79 +191,234 @@ def simulate(
         times[-1] = t_end
     else:
         times.append(t_end)
-    times_arr = np.array(times)
-    ys = np.empty((times_arr.size, y.size))
-    ys[0] = y
-    j = 1  # next sample to fill
+    return np.array(times)
 
-    k = np.empty((7, y.size))
-    k[0] = _field(y, *args)[0]
-    evaluations, accepted, rejected = 1, 0, 0
-    t, h, h_min = 0.0, step, 1e-9 * step
-    while t < t_end:
-        last = t + h >= t_end
-        if last:
-            h = t_end - t
-        try:
-            for i in range(1, 7):
-                # the last stage point is the 5th-order solution y_new
-                y_new = y + h * (_A[i] @ k[:i])
-                evaluations += 1
-                k[i] = _field(y_new, *args)[0]
-        except NegativeProductivityError:
-            rejected += 1
-            h *= 0.5
-            if h < h_min:
-                raise
-            continue
-        scale = TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-        err = math.sqrt(np.mean((h * (_E @ k) / scale) ** 2))
-        if not (math.isfinite(err) and np.isfinite(y_new).all()):
-            raise IntegrationBlowupError(
-                f"non-finite state in the step from t = {t}", last_good_time=t
+
+def _take(keep, *arrays):
+    """The kept rows of each per-row array; scalars pass through."""
+    return tuple(a[keep] if isinstance(a, np.ndarray) else a for a in arrays)
+
+
+def _per_row(values: np.ndarray):
+    """A per-row parameter column, or one float when all rows share it,
+    which the field handles at scalar cost."""
+    return float(values[0]) if values.size and np.all(values == values[0]) else values
+
+
+def simulate_batch(
+    models: Sequence[Model],
+    t_ends: Sequence[float],
+    steps: Sequence[float],
+    sample_every: int = 10,
+) -> list[Trajectory | SpillnetError]:
+    """Adaptive Dormand-Prince 5(4) integration of B closed loops in lock
+    step: one Trajectory per model, or the SpillnetError that stopped it.
+
+    Row b integrates models[b] to t_ends[b] with its own time, step and
+    accept/reject decision.  A step is accepted when the RMS norm, over
+    the row's own n + 1 components, of the embedded error estimate scaled
+    componentwise by TOL * (1 + max(|y|, |y_new|)) on the stacked (z, L)
+    state is at most 1.  steps[b] and sample_every fix only the initial
+    step and the sample grid: samples at multiples of
+    sample_every * steps[b] and always at t_ends[b], filled from the
+    pair's 4th-order continuous extension.  A stage with negative
+    productivity rejects the row's step and halves it; the row fails with
+    NegativeProductivityError once the step falls below 1e-9 * steps[b].
+    A non-finite trial state or error estimate fails the row with
+    IntegrationBlowupError at once.  Failed and finished rows leave the
+    batch; the others carry on.  Economies of different sizes are padded
+    to the largest n with inert technologies that get no share.  Shares
+    and growth rates come from one call of the integration field on all of
+    a row's samples.  A row's field_evaluations counts the evaluations
+    made for it: one at the start and six per attempted step.
+    """
+    b_all = len(models)
+    t_ends = np.asarray(t_ends, dtype=float)
+    steps = np.asarray(steps, dtype=float)
+    if t_ends.shape != (b_all,) or steps.shape != (b_all,):
+        raise ValueError("t_ends and steps need one entry per model")
+    if np.any(t_ends <= 0):
+        raise ValueError(f"t_end must be positive, got {t_ends.min()}")
+    if np.any(steps <= 0):
+        raise ValueError(f"step must be positive, got {steps.min()}")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    if not b_all:
+        return []
+
+    results: list = [None] * b_all
+    sizes = np.array([m.matrix.n for m in models], dtype=int)
+    n = int(sizes.max())
+    grids = [_sample_times(te, st, sample_every) for te, st in zip(t_ends, steps)]
+    n_samples = np.array([g.size for g in grids], dtype=int)
+    # each row's sample times, then +inf past its last sample
+    grid = np.full((b_all, int(n_samples.max()) + 1), np.inf)
+    # states padded to n technologies: z, zeros, then L
+    out = np.zeros((b_all, grid.shape[1] - 1, n + 1))  # the samples
+    k0 = np.zeros((b_all, n + 1))  # the field at the initial state
+    f = np.zeros((b_all, n, n))
+    for b, (model, times) in enumerate(zip(models, grids)):
+        m = sizes[b]
+        grid[b, : times.size] = times
+        f[b, :m, :m] = model.matrix.entries
+        q0 = model.q0.q
+        total0 = q0.sum()
+        if total0 <= 0:
+            results[b] = DegenerateEconomyError(
+                "initial qualities sum to zero; scale-free state undefined"
             )
-        if err > 1.0:
-            rejected += 1
-            h *= max(_FAC_MIN, _SAFETY * err**-0.2)
-            if h < h_min:
-                raise IntegrationBlowupError(
-                    f"step size fell below {h_min:g} at t = {t}", last_good_time=t
-                )
             continue
+        y0 = np.append(q0 / total0, math.log(total0))
+        p = model.params
+        ydot, _, _, negative = _field(y0, model.matrix.entries, p.nu, p.alpha, p.s_total)
+        if negative:
+            results[b] = NegativeProductivityError(
+                "productivity is negative at the initial state"
+            )
+            continue
+        padding = [m] * (n - m)
+        out[b, 0] = np.insert(y0, padding, 0.0)
+        k0[b] = np.insert(ydot, padding, 0.0)
 
-        accepted += 1
-        t_new = t_end if last else t + h
-        m = int(np.searchsorted(times_arr, t_new, side="right"))
-        if m > j:
-            # samples in (t, t_new] from the continuous extension (dopri5's contd5)
-            th = ((times_arr[j:m] - t) / h)[:, None]
-            r2 = y_new - y
-            r3 = h * k[0] - r2
-            r4 = r2 - h * k[6] - r3
-            r5 = h * (_D @ k)
-            ys[j:m] = y + th * (r2 + (1 - th) * (r3 + th * (r4 + (1 - th) * r5)))
-            j = m
-        # the error estimate is exactly 0 on solutions linear in t
-        t, y, h = t_new, y_new, h * min(_FAC_MAX, _SAFETY * max(err, 1e-10) ** -0.2)
-        k[0] = k[6]
-    ys[-1] = y  # the final sample is the integrated state itself
-
-    ydot, v, shares = _field(ys, *args)
-    zs = ys[:, :-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        growth = np.where(zs > 0, v / np.where(zs > 0, zs, 1.0), np.nan)
-
-    return Trajectory(
-        times=times_arr,
-        z=zs,
-        logsum=ys[:, -1],
-        shares=shares,
-        tech_growth=growth,
-        sector_growth=ydot[:, -1],
-        field_evaluations=evaluations,
-        accepted_steps=accepted,
-        rejected_steps=rejected,
+    # the rows still integrating; every per-row array below follows `rows`
+    rows = np.array([b for b in range(b_all) if results[b] is None], dtype=int)
+    y, f = out[rows, 0], f[rows]
+    nu, alpha, s_total = (
+        _per_row(np.array([getattr(models[b].params, name) for b in rows], dtype=float))
+        for name in ("nu", "alpha", "s_total")
     )
+    active = (np.arange(n) < sizes[rows, None]) if np.any(sizes[rows] != n) else None
+    dof = sizes[rows] + 1.0
+    t, t_end, h = np.zeros(rows.size), t_ends[rows], steps[rows]
+    h_min = 1e-9 * h
+    t_next = grid[rows, 1]  # each row's next sample time
+    k = np.empty((rows.size, 7, n + 1))
+    k[:, 0] = k0[rows]
+    attempted = np.zeros(b_all, dtype=int)
+    rejected = np.zeros(b_all, dtype=int)
+
+    steps_taken = 0  # by every row still in the batch
+    while rows.size:
+        steps_taken += 1
+        last = t + h >= t_end
+        if last.any():
+            h = np.where(last, t_end - t, h)
+        hc = h[:, None]
+        negative = None
+        for i in range(1, 7):
+            # the last stage point is the 5th-order solution y_new
+            y_new = y + hc * (_A[i] @ k[:, :i])
+            k[:, i], _, _, neg = _field(y_new, f, nu, alpha, s_total, active)
+            if neg is not None:
+                negative = neg if negative is None else negative | neg
+        scale = TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+        err = np.sqrt(np.add.reduce((hc * (_E @ k) / scale) ** 2, axis=1) / dof)
+        finite = np.isfinite(err) & np.isfinite(y_new).all(axis=1)
+        accept = finite & (err <= 1.0)
+        if negative is not None:
+            accept &= ~negative
+        t_new = np.where(last, t_end, t + h)
+
+        # samples in (t, t_new] from the continuous extension, all rows'
+        # at once: one entry per (row, sample) pair
+        r = np.flatnonzero(accept & (t_next <= t_new))
+        if r.size:
+            times = grid[rows[r]]
+            upto = times <= t_new[r, None]
+            pair, col = np.nonzero(upto & (times > t[r, None]))
+            at = r[pair]
+            th = (times[pair, col] - t[at]) / h[at]
+            u = th * (1 - th)
+            # stacked products, so that a row's samples do not depend on
+            # which other rows share the batch
+            basis = np.column_stack((th, u, th * u, u * u))[:, None]
+            out[rows[at], col] = y[at] + hc[at] * (basis @ (_DENSE @ k[at]))[:, 0]
+            t_next[r] = times[np.arange(r.size), np.add.reduce(upto, axis=1)]
+
+        # the error estimate is exactly 0 on solutions linear in t
+        factor = np.minimum(np.maximum(_SAFETY * np.maximum(err, 1e-10) ** -0.2, _FAC_MIN), _FAC_MAX)
+        if accept.all():
+            y, t, h = y_new, t_new, h * factor
+            k[:, 0] = k[:, 6]
+            drop = last
+        else:
+            rejected[rows[~accept]] += 1
+            blowup = ~finite
+            if negative is not None:
+                blowup &= ~negative
+                factor = np.where(negative, 0.5, factor)
+            h = h * factor
+            stalled = ~accept & ~blowup & (h < h_min)
+            for r in np.flatnonzero(blowup | stalled):
+                tr = float(t[r])
+                if blowup[r]:
+                    error = IntegrationBlowupError(
+                        f"non-finite state in the step from t = {tr}", last_good_time=tr
+                    )
+                elif negative is not None and negative[r]:
+                    error = NegativeProductivityError(
+                        f"productivity went negative in every step from t = {tr} "
+                        f"down to step size {h_min[r]:g}"
+                    )
+                else:
+                    error = IntegrationBlowupError(
+                        f"step size fell below {h_min[r]:g} at t = {tr}", last_good_time=tr
+                    )
+                results[rows[r]] = error
+            y = np.where(accept[:, None], y_new, y)
+            k[accept, 0] = k[accept, 6]
+            t = np.where(accept, t_new, t)
+            drop = (last & accept) | blowup | stalled
+        if drop.any():
+            done = drop & accept
+            # the final sample is the integrated state itself
+            out[rows[done], n_samples[rows[done]] - 1] = y[done]
+            attempted[rows[drop]] = steps_taken
+            rows, y, k, f, nu, alpha, s_total, active, dof, t, t_end, h, h_min, t_next = _take(
+                ~drop, rows, y, k, f, nu, alpha, s_total, active, dof, t, t_end, h, h_min,
+                t_next,
+            )
+
+    for b, model in enumerate(models):
+        if results[b] is not None:
+            continue
+        m = sizes[b]
+        ys = np.delete(out[b, : n_samples[b]], np.s_[m:n], axis=1)
+        p = model.params
+        ydot, v, shares, negative = _field(ys, model.matrix.entries, p.nu, p.alpha, p.s_total)
+        if negative is not None and negative.any():
+            results[b] = NegativeProductivityError(
+                f"productivity is negative at the sample t = {grids[b][negative.argmax()]}"
+            )
+            continue
+        zs = ys[:, :-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            growth = np.where(zs > 0, v / np.where(zs > 0, zs, 1.0), np.nan)
+        results[b] = Trajectory(
+            times=grids[b],
+            z=zs,
+            logsum=ys[:, -1],
+            shares=shares,
+            tech_growth=growth,
+            sector_growth=ydot[:, -1],
+            field_evaluations=1 + 6 * int(attempted[b]),
+            accepted_steps=int(attempted[b] - rejected[b]),
+            rejected_steps=int(rejected[b]),
+        )
+    return results
+
+
+def simulate(
+    model: Model,
+    t_end: float,
+    step: float = DEFAULT_STEP,
+    sample_every: int = 10,
+) -> Trajectory:
+    """One closed loop: simulate_batch of one model, raising its error."""
+    (result,) = simulate_batch([model], [t_end], [step], sample_every)
+    if isinstance(result, SpillnetError):
+        raise result
+    return result
 
 
 def sector_growth_rate(q: np.ndarray, tech_growth: np.ndarray) -> float:
@@ -322,6 +464,20 @@ def leader_set(shares: np.ndarray, theta: float) -> frozenset[int]:
     return frozenset(chosen)
 
 
+def _leader_sets(shares: np.ndarray, theta: float) -> np.ndarray:
+    """leader_set of every row of `shares` at once, as a boolean membership
+    matrix: shares sorted descending (ties by index), summed in that order
+    until the sum reaches theta."""
+    n = shares.shape[1]
+    order = np.argsort(-shares, axis=1, kind="stable")
+    reached = np.cumsum(np.take_along_axis(shares, order, axis=1), axis=1) >= theta
+    # a row that never reaches theta takes every technology
+    size = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, n)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n)[None, :], axis=1)
+    return rank < size[:, None]
+
+
 def detect_transitions(
     traj: Trajectory, theta: float, hold: float = DEFAULT_HOLD
 ) -> list[TransitionEvent]:
@@ -333,24 +489,28 @@ def detect_transitions(
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    unique, labels = np.unique(
+        _leader_sets(traj.shares, theta), axis=0, return_inverse=True
+    )
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in unique]
+    labels = labels.ravel().tolist()
     events: list[TransitionEvent] = []
-    current = leader_set(traj.shares[0], theta)
-    candidate: frozenset[int] | None = None
+    current = labels[0]
+    candidate: int | None = None
     candidate_since = 0.0
     for i in range(1, traj.times.size):
-        leaders = leader_set(traj.shares[i], theta)
-        if leaders == current:
+        if labels[i] == current:
             candidate = None
             continue
-        if leaders != candidate:
-            candidate = leaders
+        if labels[i] != candidate:
+            candidate = labels[i]
             candidate_since = float(traj.times[i])
         if traj.times[i] - candidate_since >= hold:
             events.append(
                 TransitionEvent(
                     time=candidate_since,
-                    old_leaders=current,
-                    new_leaders=candidate,
+                    old_leaders=sets[current],
+                    new_leaders=sets[candidate],
                 )
             )
             current = candidate

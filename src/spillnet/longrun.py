@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import shares_from_productivities
-from .dynamics import Trajectory, simulate
+from .dynamics import Trajectory, simulate_batch
 from .model import (
     EconomyParams,
     Model,
@@ -72,32 +72,38 @@ class TransitionDesign:
 
 def _support_field(z, f_sub, nu, s_total):
     """zdot on the support simplex at alpha = 0 (clamped against tiny
-    negative productivities from finite-difference probes)."""
-    p = np.maximum(f_sub @ z, 0.0)
+    negative productivities from finite-difference probes), along the last
+    axis: one state, or a stack of states in the rows of z."""
+    # products summed along the last axis round the same for one state as
+    # for a stack, where a matrix product need not: the central
+    # differences in _support_jacobian divide any such difference by 2e-7
+    p = np.maximum((z[..., None, :] * f_sub).sum(axis=-1), 0.0)
     s = shares_from_productivities(p, nu)
     v = (s * s_total) ** nu * p
-    return v - v.sum() * z
+    return v - v.sum(axis=-1, keepdims=True) * z
+
+
+def _support_jacobian(z, f_sub, nu, s_total):
+    """Central-difference Jacobian of _support_field at z, all 2m probes
+    in one stacked call."""
+    m = z.size
+    h = 1e-7
+    probe = h * np.eye(m)
+    fields = _support_field(np.concatenate((z + probe, z - probe)), f_sub, nu, s_total)
+    return (fields[:m] - fields[m:]).T / (2 * h)
 
 
 def _interior_unstable(z, f_sub, nu, s_total, scale) -> bool:
     """True when the equal-growth point repels within its own simplex.
 
-    The Jacobian of the share-weighted field is estimated by central
-    differences and restricted to the tangent space sum(dz) = 0; any
-    eigenvalue with clearly positive real part marks a saddle that the
-    dynamics cannot settle on.
+    The Jacobian of the share-weighted field is restricted to the tangent
+    space sum(dz) = 0; any eigenvalue with clearly positive real part
+    marks a saddle that the dynamics cannot settle on.
     """
     m = z.size
     if m == 1:
         return False
-    h = 1e-7
-    jac = np.empty((m, m))
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = h
-        fp = _support_field(z + e, f_sub, nu, s_total)
-        fm = _support_field(z - e, f_sub, nu, s_total)
-        jac[:, k] = (fp - fm) / (2 * h)
+    jac = _support_jacobian(z, f_sub, nu, s_total)
     # orthonormal basis of the simplex tangent space
     _, _, vt = np.linalg.svd(np.ones((1, m)))
     basis = vt[1:]
@@ -450,7 +456,8 @@ def construct_transition(
     Success means the first cluster holds the majority scientist share at
     t = 0 while the last cluster ends holding all but 1e-3 of it.  For two
     clusters the link must be strictly one-way; longer chains are accepted
-    with extra cross-links, the multi-block generalization.
+    with extra cross-links, the multi-block generalization.  The candidate
+    pairs, one per phi2, are integrated in one batch.
     """
     f = matrix.entries
     clusters = [sorted(int(i) for i in c) for c in clusters]
@@ -459,11 +466,11 @@ def construct_transition(
         q0 = QualityState(0.0, np.ones(matrix.n))
     first, last = clusters[0], clusters[-1]
 
-    best = None
     powers = [2.0**k for k in range(max_power + 1)]
     # the terminal share of the last cluster is set by the fixed point and
     # thus by phi2; per phi2 it suffices to try the smallest phi1 that
     # hands the first cluster the initial majority
+    grid = []
     for phi2 in powers:
         scaled = f.copy()
         scaled[np.ix_(last, last)] *= phi2
@@ -479,15 +486,22 @@ def construct_transition(
             model = validate_model(
                 SpilloverMatrix(scaled), params, QualityState(0.0, q_start)
             )
-            traj = simulate(model, horizon, step=step)
-            terminal = float(traj.shares[-1][last].sum())
-            if best is None or terminal > best[2]:
-                best = (phi1, phi2, terminal)
-            if terminal > 1.0 - 1e-3:
-                return TransitionDesign(
-                    phi1=phi1, phi2=phi2, model=model, trajectory=traj
-                )
+            grid.append((phi1, phi2, model))
             break
+    trajectories = simulate_batch(
+        [model for _, _, model in grid], [horizon] * len(grid), [step] * len(grid)
+    )
+    best = None
+    # the first confirmed transition in phi2 order is the design, and the
+    # best candidate is taken over the pairs up to it
+    for (phi1, phi2, model), traj in zip(grid, trajectories):
+        if not isinstance(traj, Trajectory):
+            raise traj
+        terminal = float(traj.shares[-1][last].sum())
+        if best is None or terminal > best[2]:
+            best = (phi1, phi2, terminal)
+        if terminal > 1.0 - 1e-3:
+            return TransitionDesign(phi1=phi1, phi2=phi2, model=model, trajectory=traj)
     raise TransitionSearchExhaustedError(
         f"no (phi1, phi2) pair up to 2^{max_power} produced a confirmed "
         "transition",

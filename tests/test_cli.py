@@ -131,3 +131,31 @@ def test_paper_figs_runs_all(tmp_path, capsys):
                   "sec4-eventually-nn", "homogeneous-baseline"):
         assert name in out
         assert (out_dir / f"{name}.csv").exists()
+
+
+def test_sweep_keeps_group_results_when_one_fails_during_integration(tmp_path, capsys):
+    scenarios_dir = tmp_path / "scenarios"
+    scenarios_dir.mkdir()
+    for name in ("fig12-oneway", "fig12-circular"):
+        write_scenario(replace(builtin_scenario(name), horizon=5.0), scenarios_dir / f"{name}.json")
+    # one-way, so it passes classification and prediction; q1's productivity
+    # alpha * exp(-L) - z0 turns negative as soon as q0 grows
+    doomed = {
+        "name": "doomed", "n": 2, "F": [0.0, 0.0, -1.0, 0.0],
+        "nu": 0.5, "alpha": 1.0, "s_total": 1.0, "c": 1.0, "q0": [1.0, 1.0],
+        "horizon": 5.0, "step": 0.01,
+    }
+    (scenarios_dir / "doomed.json").write_text(json.dumps(doomed))
+    out_dir = tmp_path / "out"
+    # one worker: all three scenarios share one batch
+    assert main(["sweep", str(scenarios_dir), "--out", str(out_dir), "--workers", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "doomed: NegativeProductivityError: " in captured.err
+    assert "fig12-oneway: regime=polynomial" in captured.out
+    assert "fig12-circular: regime=exponential" in captured.out
+    index = json.loads((out_dir / "sweep.json").read_text())
+    assert set(index) == {"fig12-oneway", "fig12-circular", "doomed"}
+    assert index["doomed"]["error"].startswith("NegativeProductivityError: ")
+    for name in ("fig12-oneway", "fig12-circular"):
+        report = json.loads((out_dir / f"{name}.report.json").read_text())
+        assert index[name]["terminal_growth"] == report["simulation"]["terminal_growth_rate"]

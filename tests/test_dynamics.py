@@ -11,8 +11,10 @@ from spillnet import (
     detect_convergence,
     detect_transitions,
     growth_series,
+    leader_set,
     sector_growth_rate,
     simulate,
+    simulate_batch,
     solve_support_system,
     validate_model,
 )
@@ -150,7 +152,8 @@ def test_nan_field_raises_blowup_at_once(model_factory, monkeypatch):
         calls.append(1)
         if len(calls) > 100:
             raise RuntimeError("integrator kept going on a NaN field")
-        return np.full_like(y, np.nan), np.full(y.size - 1, np.nan), np.full(y.size - 1, np.nan)
+        nan = np.full(y.shape[:-1] + (y.shape[-1] - 1,), np.nan)
+        return np.full_like(y, np.nan), nan, nan, None
 
     monkeypatch.setattr(dynamics, "_field", nan_field)
     with pytest.raises(IntegrationBlowupError) as info:
@@ -160,7 +163,7 @@ def test_nan_field_raises_blowup_at_once(model_factory, monkeypatch):
 
 
 def test_negative_productivity_stage_rejects_step(model_factory, monkeypatch):
-    from spillnet import NegativeProductivityError, dynamics
+    from spillnet import dynamics
 
     model = model_factory([[0, 1], [1, 0]], alpha=0.5)
     clean = simulate(model, 5.0)
@@ -169,9 +172,11 @@ def test_negative_productivity_stage_rejects_step(model_factory, monkeypatch):
 
     def flaky_field(y, *args):
         calls.append(1)
+        ydot, v, shares, negative = field(y, *args)
         if len(calls) == 3:
-            raise NegativeProductivityError("transient")
-        return field(y, *args)
+            # one stage of the first step reports negative productivity
+            return ydot, v, shares, np.ones(y.shape[:-1], dtype=bool)
+        return ydot, v, shares, negative
 
     monkeypatch.setattr(dynamics, "_field", flaky_field)
     traj = simulate(model, 5.0)
@@ -188,17 +193,19 @@ def test_persistent_negative_productivity_is_reraised(model_factory, monkeypatch
 
     def failing_field(y, *args):
         calls.append(1)
-        if len(calls) > 100:
+        if len(calls) > 600:
             raise RuntimeError("integrator kept halving the step")
+        ydot, v, shares, negative = field(y, *args)
         if len(calls) > 1:
-            raise NegativeProductivityError("persistent")
-        return field(y, *args)
+            return ydot, v, shares, np.ones(y.shape[:-1], dtype=bool)
+        return ydot, v, shares, negative
 
     monkeypatch.setattr(dynamics, "_field", failing_field)
     with pytest.raises(NegativeProductivityError):
         simulate(model_factory([[0, 1], [1, 0]]), 5.0)
-    # halving from step to 1e-9 * step takes about 30 rejections
-    assert len(calls) < 40
+    # halving from step to 1e-9 * step takes about 30 rejected steps, each
+    # of six stage evaluations after the initial one
+    assert (len(calls) - 1) / 6 < 40
 
 
 def test_nonreceivers_lose_all_scientists(model_factory):
@@ -248,7 +255,7 @@ def test_batched_sample_pass_matches_per_state_field():
         p = model.params
         args = (model.matrix.entries, p.nu, p.alpha, p.s_total)
         for i, (z, logsum) in enumerate(zip(traj.z, traj.logsum)):
-            _, v, shares = dynamics._field(np.append(z, logsum), *args)
+            _, v, shares, _ = dynamics._field(np.append(z, logsum), *args)
             growth = np.where(z > 0, v / np.where(z > 0, z, 1.0), np.nan)
             np.testing.assert_allclose(traj.shares[i], shares, rtol=0, atol=1e-14)
             np.testing.assert_allclose(traj.tech_growth[i], growth, rtol=1e-14, atol=1e-14)
@@ -365,3 +372,81 @@ def test_final_time_always_sampled(model_factory, t_end, step, sample_every):
     traj = simulate(model, t_end, step=step, sample_every=sample_every)
     assert traj.times[-1] == t_end
     assert np.all(np.diff(traj.times) > 0)
+
+
+
+def test_batch_pads_mixed_sizes_out_of_the_shares(model_factory):
+    # with alpha = 1 an unmasked padding technology of the n = 2 rows would
+    # draw productivity alpha * exp(-L), and with it scientists
+    cycle = model_factory([[0, 1], [1, 0]], alpha=1.0, q0=[1.0, 0.5])
+    rows = np.roll(np.eye(5), 1, axis=0)
+    ring = model_factory(rows, nu=0.3, alpha=1.0, q0=[1.0, 2.0, 1.0, 0.5, 1.0])
+    independent = model_factory([[0, 0], [0, 0]], alpha=1.0, q0=[1.0, 3.0])
+    models = [cycle, ring, independent]
+    t_ends, steps = [6.0, 6.0, 3.0], [0.01, 0.02, 0.01]
+    batch = simulate_batch(models, t_ends, steps)
+    for model, t_end, step, traj in zip(models, t_ends, steps, batch):
+        alone = simulate(model, t_end, step=step)
+        assert traj.z.shape == alone.z.shape
+        np.testing.assert_allclose(traj.z, alone.z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.logsum, alone.logsum, rtol=1e-12)
+        np.testing.assert_allclose(traj.shares, alone.shares, rtol=0, atol=1e-12)
+        # the error norm runs over each row's own n + 1 components, so a
+        # row takes the steps its economy takes alone
+        assert traj.accepted_steps == alone.accepted_steps
+        assert traj.rejected_steps == alone.rejected_steps
+
+
+def _assert_same_trajectory(a, b):
+    for name in ("times", "z", "logsum", "shares", "tech_growth", "sector_growth"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    assert (a.field_evaluations, a.accepted_steps, a.rejected_steps) == (
+        b.field_evaluations, b.accepted_steps, b.rejected_steps
+    )
+
+
+def test_batch_isolates_failing_rows(model_factory, monkeypatch):
+    from spillnet import IntegrationBlowupError, NegativeProductivityError, dynamics
+
+    good = [
+        model_factory([[0, 1], [1, 0]], alpha=0.5),
+        model_factory([[0, 2], [1, 0]], nu=0.3, q0=[1.0, 0.2]),
+        model_factory([[1, 0], [1, 1]], nu=0.8, alpha=1.0),
+    ]
+    alone = [simulate(model, 5.0) for model in good]
+    # q1 overtakes q0 at once, which drives p0 = z0 - z1 below zero in
+    # every step however small
+    negative = model_factory([[1, -1], [0, 1]])
+    # the field of this economy turns to NaN (a marker entry picks it out)
+    blowup = model_factory([[0, 3], [1, 0]])
+    field = dynamics._field
+
+    def nan_for_marked_rows(y, f, *args):
+        ydot, v, shares, neg = field(y, f, *args)
+        if f.ndim == 3:
+            ydot[f[:, 0, 1] == 3] = np.nan
+        return ydot, v, shares, neg
+
+    monkeypatch.setattr(dynamics, "_field", nan_for_marked_rows)
+    models = [good[0], negative, good[1], blowup, good[2]]
+    batch = simulate_batch(models, [5.0] * 5, [0.01] * 5)
+    assert isinstance(batch[1], NegativeProductivityError)
+    assert isinstance(batch[3], IntegrationBlowupError)
+    assert batch[3].last_good_time == 0.0
+    for traj, reference in zip([batch[0], batch[2], batch[4]], alone):
+        _assert_same_trajectory(traj, reference)
+
+
+def test_vectorised_leader_sets_match_leader_set_with_ties(rng):
+    from spillnet.dynamics import _leader_sets
+
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        # few distinct levels, so that equal shares are common
+        raw = rng.integers(0, 4, size=(20, n)).astype(float)
+        raw[raw.sum(axis=1) == 0] = 1.0
+        shares = raw / raw.sum(axis=1, keepdims=True)
+        for theta in (0.1, 0.5, 0.6, float(rng.uniform(0.01, 0.99))):
+            members = _leader_sets(shares, theta)
+            for row, member in zip(shares, members):
+                assert frozenset(np.flatnonzero(member).tolist()) == leader_set(row, theta)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from spillnet import (
+    EconomyParams,
     MissingFieldError,
+    QualityState,
+    Scenario,
     ScenarioParseError,
+    SpilloverMatrix,
     ValidationError,
     builtin_scenario,
     builtin_scenarios,
@@ -263,3 +267,25 @@ def test_run_oneway_reports_polynomial(tmp_path):
     assert report.prediction.regime == "polynomial"
     assert report.crosscheck_pass is None  # no candidate supports to check
     assert "nu" in report.defaulted
+
+
+def test_crosscheck_matches_candidates_on_relative_qualities():
+    # an irreducible sparse network whose one candidate, the full set, has
+    # members with tiny asymptotic shares (min s* about 1e-28): only 2 of 8
+    # technologies hold more than 1e-3 of the scientists at the end
+    rng = np.random.default_rng(1)
+    f = (rng.random((8, 8)) < 0.5) * rng.random((8, 8))
+    scenario = Scenario(
+        name="panel-n8-k1",
+        matrix=SpilloverMatrix(f),
+        params=EconomyParams(nu=0.5, alpha=0.0, s_total=1.0),
+        q0=QualityState(0.0, np.ones(8)),
+        horizon=60.0,
+        step=0.01,
+    )
+    report = run(scenario)
+    (candidate,) = report.prediction.candidates
+    assert candidate.support == frozenset(range(8))
+    assert len(report.realized_support) < 8
+    assert report.crosscheck_pass is True
+    assert report.realized is candidate
