@@ -51,8 +51,8 @@ def shares_from_productivities(p: np.ndarray, nu: float | np.ndarray) -> np.ndar
     pt = p.T
     pmax = np.maximum.reduce(pt)
     flat = pmax <= 0.0
-    # masked only when some vector is flat; a stack vector by vector
-    if flat.any() if flat.ndim else flat:
+    # a stack is masked vector by vector; a single vector only when flat
+    if flat.ndim or flat:
         pt = np.where(flat, 1.0, pt)
         pmax = np.where(flat, 1.0, pmax)
     w = (pt / pmax) ** (1.0 / (1.0 - nu))

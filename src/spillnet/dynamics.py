@@ -100,19 +100,14 @@ class GrowthSeries:
     logsum_rate: np.ndarray
 
 
-def _field(y, f, nu, alpha, s_total, active=None):
+def _field(y, f, nu, alpha, s_total):
     """(ydot, v, shares, negative) at the stacked scale-free state
     y = (z, L), along the last axis.
 
     Either one economy (f of shape (n, n), scalar parameters) at one state
     or at a stack of states in the rows of y, or a stack of B economies
-    (f of shape (B, n, n), parameters of shape (B,) or scalars) at one
-    state each.  In a stack of economies padded to a common n, `active`
-    (B, n) marks each row's own technologies.  A padding technology has a
-    zero row in f, but alpha * exp(-L) would still give it productivity
-    and so scientists; masking that term leaves it p = 0 exactly, and so
-    share 0 (or, when no technology of the row has productivity, a share
-    that does nothing, since v = 0 then).
+    (f of shape (B, n, n), nu and s_total of shape (B,), and alpha of
+    shape (B, n), one value per technology) at one state each.
 
     Tiny negative productivities near extinct technologies are roundoff
     and clamp to zero.  `negative` is None when there are no others, and
@@ -122,9 +117,7 @@ def _field(y, f, nu, alpha, s_total, active=None):
     # axis, and the per-state sums of one state are scalars
     yt = y.T
     z = yt[:-1]
-    decay = alpha * np.exp(-yt[-1])
-    if active is not None:
-        decay = decay * active.T
+    decay = (alpha * np.exp(-y[..., -1:])).T
     p = np.matmul(f, y[..., :-1, None])[..., 0].T + decay
     negative = None
     if p.min() < 0:
@@ -195,14 +188,8 @@ def _sample_times(t_end: float, step: float, sample_every: int) -> np.ndarray:
 
 
 def _take(keep, *arrays):
-    """The kept rows of each per-row array; scalars pass through."""
-    return tuple(a[keep] if isinstance(a, np.ndarray) else a for a in arrays)
-
-
-def _per_row(values: np.ndarray):
-    """A per-row parameter column, or one float when all rows share it,
-    which the field handles at scalar cost."""
-    return float(values[0]) if values.size and np.all(values == values[0]) else values
+    """The kept rows of each per-row array."""
+    return tuple(a[keep] for a in arrays)
 
 
 def simulate_batch(
@@ -284,10 +271,14 @@ def simulate_batch(
     rows = np.array([b for b in range(b_all) if results[b] is None], dtype=int)
     y, f = out[rows, 0], f[rows]
     nu, alpha, s_total = (
-        _per_row(np.array([getattr(models[b].params, name) for b in rows], dtype=float))
+        np.array([getattr(models[b].params, name) for b in rows], dtype=float)
         for name in ("nu", "alpha", "s_total")
     )
-    active = (np.arange(n) < sizes[rows, None]) if np.any(sizes[rows] != n) else None
+    # a padding technology has a zero row in f, but alpha * exp(-L) would
+    # still give it productivity and so scientists; a zero alpha leaves it
+    # p = 0 exactly, and so share 0 (or, when no technology of the row has
+    # productivity, a share that does nothing, since v = 0 then)
+    alpha = alpha[:, None] * (np.arange(n) < sizes[rows, None])
     dof = sizes[rows] + 1.0
     t, t_end, h = np.zeros(rows.size), t_ends[rows], steps[rows]
     h_min = 1e-9 * h
@@ -301,14 +292,13 @@ def simulate_batch(
     while rows.size:
         steps_taken += 1
         last = t + h >= t_end
-        if last.any():
-            h = np.where(last, t_end - t, h)
+        h = np.where(last, t_end - t, h)
         hc = h[:, None]
         negative = None
         for i in range(1, 7):
             # the last stage point is the 5th-order solution y_new
             y_new = y + hc * (_A[i] @ k[:, :i])
-            k[:, i], _, _, neg = _field(y_new, f, nu, alpha, s_total, active)
+            k[:, i], _, _, neg = _field(y_new, f, nu, alpha, s_total)
             if neg is not None:
                 negative = neg if negative is None else negative | neg
         scale = TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
@@ -337,46 +327,40 @@ def simulate_batch(
 
         # the error estimate is exactly 0 on solutions linear in t
         factor = np.minimum(np.maximum(_SAFETY * np.maximum(err, 1e-10) ** -0.2, _FAC_MIN), _FAC_MAX)
-        if accept.all():
-            y, t, h = y_new, t_new, h * factor
-            k[:, 0] = k[:, 6]
-            drop = last
-        else:
-            rejected[rows[~accept]] += 1
-            blowup = ~finite
-            if negative is not None:
-                blowup &= ~negative
-                factor = np.where(negative, 0.5, factor)
-            h = h * factor
-            stalled = ~accept & ~blowup & (h < h_min)
-            for r in np.flatnonzero(blowup | stalled):
-                tr = float(t[r])
-                if blowup[r]:
-                    error = IntegrationBlowupError(
-                        f"non-finite state in the step from t = {tr}", last_good_time=tr
-                    )
-                elif negative is not None and negative[r]:
-                    error = NegativeProductivityError(
-                        f"productivity went negative in every step from t = {tr} "
-                        f"down to step size {h_min[r]:g}"
-                    )
-                else:
-                    error = IntegrationBlowupError(
-                        f"step size fell below {h_min[r]:g} at t = {tr}", last_good_time=tr
-                    )
-                results[rows[r]] = error
-            y = np.where(accept[:, None], y_new, y)
-            k[accept, 0] = k[accept, 6]
-            t = np.where(accept, t_new, t)
-            drop = (last & accept) | blowup | stalled
+        rejected[rows] += ~accept
+        blowup = ~finite
+        if negative is not None:
+            blowup &= ~negative
+            factor = np.where(negative, 0.5, factor)
+        h = h * factor
+        failed = blowup | (~accept & (h < h_min))
+        for r in np.flatnonzero(failed):
+            tr = float(t[r])
+            if blowup[r]:
+                error = IntegrationBlowupError(
+                    f"non-finite state in the step from t = {tr}", last_good_time=tr
+                )
+            elif negative is not None and negative[r]:
+                error = NegativeProductivityError(
+                    f"productivity went negative in every step from t = {tr} "
+                    f"down to step size {h_min[r]:g}"
+                )
+            else:
+                error = IntegrationBlowupError(
+                    f"step size fell below {h_min[r]:g} at t = {tr}", last_good_time=tr
+                )
+            results[rows[r]] = error
+        y = np.where(accept[:, None], y_new, y)
+        k[:, 0] = np.where(accept[:, None], k[:, 6], k[:, 0])
+        t = np.where(accept, t_new, t)
+        drop = (last & accept) | failed
         if drop.any():
             done = drop & accept
             # the final sample is the integrated state itself
             out[rows[done], n_samples[rows[done]] - 1] = y[done]
             attempted[rows[drop]] = steps_taken
-            rows, y, k, f, nu, alpha, s_total, active, dof, t, t_end, h, h_min, t_next = _take(
-                ~drop, rows, y, k, f, nu, alpha, s_total, active, dof, t, t_end, h, h_min,
-                t_next,
+            rows, y, k, f, nu, alpha, s_total, dof, t, t_end, h, h_min, t_next = _take(
+                ~drop, rows, y, k, f, nu, alpha, s_total, dof, t, t_end, h, h_min, t_next
             )
 
     for b, model in enumerate(models):

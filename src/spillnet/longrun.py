@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import shares_from_productivities
-from .dynamics import Trajectory, simulate_batch
+from .dynamics import Trajectory, simulate
 from .model import (
     EconomyParams,
     Model,
@@ -456,8 +456,7 @@ def construct_transition(
     Success means the first cluster holds the majority scientist share at
     t = 0 while the last cluster ends holding all but 1e-3 of it.  For two
     clusters the link must be strictly one-way; longer chains are accepted
-    with extra cross-links, the multi-block generalization.  The candidate
-    pairs, one per phi2, are integrated in one batch.
+    with extra cross-links, the multi-block generalization.
     """
     f = matrix.entries
     clusters = [sorted(int(i) for i in c) for c in clusters]
@@ -466,11 +465,11 @@ def construct_transition(
         q0 = QualityState(0.0, np.ones(matrix.n))
     first, last = clusters[0], clusters[-1]
 
+    best = None
     powers = [2.0**k for k in range(max_power + 1)]
     # the terminal share of the last cluster is set by the fixed point and
     # thus by phi2; per phi2 it suffices to try the smallest phi1 that
     # hands the first cluster the initial majority
-    grid = []
     for phi2 in powers:
         scaled = f.copy()
         scaled[np.ix_(last, last)] *= phi2
@@ -486,22 +485,15 @@ def construct_transition(
             model = validate_model(
                 SpilloverMatrix(scaled), params, QualityState(0.0, q_start)
             )
-            grid.append((phi1, phi2, model))
+            traj = simulate(model, horizon, step=step)
+            terminal = float(traj.shares[-1][last].sum())
+            if best is None or terminal > best[2]:
+                best = (phi1, phi2, terminal)
+            if terminal > 1.0 - 1e-3:
+                return TransitionDesign(
+                    phi1=phi1, phi2=phi2, model=model, trajectory=traj
+                )
             break
-    trajectories = simulate_batch(
-        [model for _, _, model in grid], [horizon] * len(grid), [step] * len(grid)
-    )
-    best = None
-    # the first confirmed transition in phi2 order is the design, and the
-    # best candidate is taken over the pairs up to it
-    for (phi1, phi2, model), traj in zip(grid, trajectories):
-        if not isinstance(traj, Trajectory):
-            raise traj
-        terminal = float(traj.shares[-1][last].sum())
-        if best is None or terminal > best[2]:
-            best = (phi1, phi2, terminal)
-        if terminal > 1.0 - 1e-3:
-            return TransitionDesign(phi1=phi1, phi2=phi2, model=model, trajectory=traj)
     raise TransitionSearchExhaustedError(
         f"no (phi1, phi2) pair up to 2^{max_power} produced a confirmed "
         "transition",

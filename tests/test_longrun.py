@@ -431,50 +431,3 @@ def test_stacked_support_jacobian_matches_probe_loop(rng):
         np.testing.assert_allclose(
             _support_jacobian(z, f_sub, nu, 1.0), looped, rtol=0, atol=1e-12
         )
-
-
-def _sequential_transition_search(matrix, params, clusters, horizon, max_power):
-    """construct_transition's search written as one simulation per phi2,
-    stopping at the first confirmed transition: (phi1, phi2, trajectory)
-    of the design, or None, and the best candidate."""
-    from spillnet import simulate, validate_model
-    from spillnet.allocation import shares_from_productivities
-
-    f = matrix.entries
-    first, last = clusters[0], clusters[-1]
-    powers = [2.0**k for k in range(max_power + 1)]
-    best = None
-    for phi2 in powers:
-        scaled = f.copy()
-        scaled[np.ix_(last, last)] *= phi2
-        for phi1 in powers:
-            q_start = np.ones(matrix.n)
-            q_start[first] += phi1
-            p = scaled @ q_start + params.alpha
-            if p.min() < 0 or shares_from_productivities(p, params.nu)[first].sum() <= 0.5:
-                continue
-            model = validate_model(SpilloverMatrix(scaled), params, QualityState(0.0, q_start))
-            traj = simulate(model, horizon)
-            terminal = float(traj.shares[-1][last].sum())
-            if best is None or terminal > best[2]:
-                best = (phi1, phi2, terminal)
-            if terminal > 1.0 - 1e-3:
-                return (phi1, phi2, traj), best
-            break
-    return None, best
-
-
-def test_construct_transition_batch_matches_sequential_search():
-    f = SpilloverMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]])
-    clusters = [[0, 1], [2, 3]]
-    (phi1, phi2, traj), _ = _sequential_transition_search(f, P0, clusters, 60.0, 8)
-    design = construct_transition(f, P0, clusters=clusters, horizon=60.0)
-    assert (design.phi1, design.phi2) == (phi1, phi2)
-    np.testing.assert_array_equal(design.trajectory.z, traj.z)
-    np.testing.assert_array_equal(design.trajectory.shares, traj.shares)
-    # too short a horizon for any scaling: the search reports its best
-    found, best = _sequential_transition_search(f, P0, clusters, 2.0, 3)
-    assert found is None
-    with pytest.raises(TransitionSearchExhaustedError) as err:
-        construct_transition(f, P0, clusters=clusters, horizon=2.0, max_power=3)
-    assert err.value.best_candidate == best
