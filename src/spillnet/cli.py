@@ -132,6 +132,8 @@ def _run_group(jobs: list[tuple[int, str, Scenario]], out: str | None) -> list:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
     files = sorted(Path(args.dir).glob("*.json"))
     if not files:
         raise ValidationError(f"no scenario JSON files in {args.dir}")
@@ -142,8 +144,8 @@ def _cmd_sweep(args) -> int:
             jobs.append((index, path.stem, load_scenario(path)))
         except (SpillnetError, OSError) as e:
             outcomes.append((index, *_error_outcome(path.stem, e)))
-    # deal the scenarios round-robin, costliest first, so that every group
-    # gets a similar mix of expected step counts
+    # deal the scenarios round-robin, longest sample grid (horizon / step)
+    # first, so that every group gets a similar mix of grid lengths
     jobs.sort(key=lambda job: (job[2].horizon / job[2].step, job[2].matrix.n), reverse=True)
     workers = args.workers or os.cpu_count() or 1
     groups = [jobs[w::workers] for w in range(min(workers, len(jobs)))]
@@ -186,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--step", type=float, default=None,
         help="initial step and sample spacing (samples every 10 steps); the "
-        "Dormand-Prince 5(4) integrator then adapts its step to a local "
-        "error tolerance of 1e-12",
+        "DOP853 integrator (Dormand-Prince 8(5,3) pair, 7th-order dense "
+        "output) then adapts its step to a local error tolerance of 1e-12",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
@@ -203,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run every scenario JSON in a directory")
     p.add_argument("dir")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="worker processes, at least 1 (default: one per CPU)",
+    )
     p.set_defaults(func=_cmd_sweep)
 
     return parser

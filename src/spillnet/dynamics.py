@@ -13,10 +13,12 @@ which is exact (no approximation relative to raw q).  Because the sector
 output satisfies Y_L = sum(q), the sector growth rate is simply sum(v),
 and per-technology growth is g_i = v_i / z_i.
 
-The stacked state (z, L) is integrated with the embedded Dormand-Prince
-5(4) pair (Dormand & Prince 1980) under local error control at tolerance
-TOL, and the fixed sample grid is filled from the pair's 4th-order
-continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).
+The stacked state (z, L) is integrated with DOP853, the Dormand-Prince
+8(5,3) pair, under local error control at tolerance TOL, and the fixed
+sample grid is filled from its 7th-order continuous extension (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5-6 and II.10).  The extension is one
+order below the step, so inside long steps the samples are less accurate
+than the integrated states at the step ends.
 Many economies are integrated in lock step as rows of one stacked state,
 so that each step's interpreter overhead is paid once for all of them.
 """
@@ -113,12 +115,17 @@ def _field(y, f, nu, alpha, s_total):
     and clamp to zero.  `negative` is None when there are no others, and
     otherwise flags (per state) where productivity went clearly negative.
     """
+    return _rates(y, np.matmul(f, y[..., :-1, None])[..., 0], nu, alpha, s_total)
+
+
+def _rates(y, fz, nu, alpha, s_total):
+    """_field at the states y whose spillover inflows fz = F z the caller
+    has computed, with parameters per state as in _field."""
     # states in columns: per-state parameters broadcast along the last
     # axis, and the per-state sums of one state are scalars
     yt = y.T
     z = yt[:-1]
-    decay = (alpha * np.exp(-y[..., -1:])).T
-    p = np.matmul(f, y[..., :-1, None])[..., 0].T + decay
+    p = (fz + alpha * np.exp(-y[..., -1:])).T
     negative = None
     if p.min() < 0:
         pmin = np.minimum.reduce(p)
@@ -133,42 +140,123 @@ def _field(y, f, nu, alpha, s_total):
     return ydot.T, v.T, s.T, negative
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# table II.5.2): stage rows, the 5th-order weights (equal to the last stage
-# row, so the last stage is the next step's first), the weights of the
-# error estimate (5th minus 4th order), and the 4th-order continuous
-# extension used for dense output (dopri5 of the same authors).
+# DOP853, the Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.5 and II.10, code dop853): stage rows _A[1..11]; _A[12], the
+# 8th-order weights, whose stage point is y_new and whose stage the next
+# step's first; and _A[13..15], the three extra stages of the continuous
+# extension.  Row i weighs the stages before it.
 _A = tuple(
     np.array(row)
     for row in (
         (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+        (0.05260015195876773,),
+        (0.0197250569845379, 0.0591751709536137),
+        (0.02958758547680685, 0.0, 0.08876275643042054),
+        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+        (
+            0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+            -0.017578125,
+        ),
+        (
+            0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+            -0.015319437748624402, 0.008273789163814023,
+        ),
+        (
+            0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+            27.59209969944671, 20.154067550477894, -43.48988418106996,
+        ),
+        (
+            0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+            21.230051448181193, 15.279233632882423, -33.28821096898486,
+            -0.020331201708508627,
+        ),
+        (
+            -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+            -8.149787010746927, -18.52006565999696, 22.739487099350505,
+            2.4936055526796523, -3.0467644718982196,
+        ),
+        (
+            2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+            -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+            -8.87285693353063, 12.360567175794303, 0.6433927460157636,
+        ),
+        (
+            0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+            1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+            -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+        ),
+        (
+            0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+            -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+            0.00820105229563469, 0.007567897660545699, -0.008298,
+        ),
+        (
+            0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+            0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+            -0.00010834732869724932, 0.0003825710908356584,
+            -0.00034046500868740456, 0.1413124436746325,
+        ),
+        (
+            -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+            7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0,
+            0.0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+        ),
     )
 )
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-_D = np.array(
+# the two error estimates, as weights on the first 12 stages: 8th minus
+# 5th order, and 8th minus 3rd order
+_E5 = np.array(
     [
-        -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-        -10690763975 / 1880347072, 701980252875 / 199316789632,
-        -1453857185 / 822651844, 69997945 / 29380423,
+        0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+        -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+        0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
     ]
 )
-
-# the continuous extension as weights on the stages: with
+_E3 = _A[12] - np.array(
+    [
+        0.2440944881889763779527559055, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.7338466882816118573413617415, 0.0, 0.0, 0.02205882352941176470588235294,
+    ]
+)
+# the 7th-order continuous extension as weights on all 16 stages: with
 # u = theta (1 - theta), y(theta) = y + h basis(theta) @ _DENSE @ k for
-# basis(theta) = (theta, u, theta u, u^2), dopri5's
-# y + theta (r2 + (1 - theta) (r3 + theta (r4 + (1 - theta) r5))) written
-# out with r2 = h _A[6] k, r3 = h k_1 - r2, r4 = r2 - h k_7 - r3, r5 = h _D k
-_A6 = np.append(_A[6], 0.0)
-_FIRST, _LAST = np.eye(7)[0], np.eye(7)[6]
-_DENSE = np.array([_A6, _FIRST - _A6, 2 * _A6 - _FIRST - _LAST, _D])
+# basis(theta) = (theta, u, theta u, u^2, theta u^2, u^3, theta u^3),
+# dop853's nested form with d1 = y_new - y = h _A[12] k,
+# d2 = h k_1 - d1, d3 = 2 d1 - h (k_1 + k_13) and d4..d7 = h _D k
+_D = np.array(
+    [
+        [
+            -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+            -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+            -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+            -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+            -4.436036387594894,
+        ],
+        [
+            10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+            165.20045171727028, -374.5467547226902, -22.113666853125306,
+            7.733432668472264, -30.674084731089398, -9.332130526430229,
+            15.697238121770845, -31.139403219565178, -9.35292435884448,
+            35.81684148639408,
+        ],
+        [
+            19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+            -189.17813819516758, 527.8081592054236, -11.57390253995963, 6.8812326946963,
+            -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+            -60.19669523126412, 84.32040550667716, 11.99229113618279,
+        ],
+        [
+            -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+            -231.5293791760455, 357.6391179106141, 93.40532418362432,
+            -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+            96.32455395918828, -39.17726167561544, -149.72683625798564,
+        ],
+    ]
+)
+_B = np.pad(_A[12], (0, 4))
+_FIRST, _LAST = np.eye(16)[0], np.eye(16)[12]
+_DENSE = np.vstack((_B, _FIRST - _B, 2 * _B - _FIRST - _LAST, _D))
 
 TOL = 1e-12
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 5.0
@@ -198,36 +286,39 @@ def simulate_batch(
     steps: Sequence[float],
     sample_every: int = 10,
 ) -> list[Trajectory | SpillnetError]:
-    """Adaptive Dormand-Prince 5(4) integration of B closed loops in lock
-    step: one Trajectory per model, or the SpillnetError that stopped it.
+    """Adaptive DOP853 integration of B closed loops in lock step: one
+    Trajectory per model, or the SpillnetError that stopped it.
 
     Row b integrates models[b] to t_ends[b] with its own time, step and
-    accept/reject decision.  A step is accepted when the RMS norm, over
-    the row's own n + 1 components, of the embedded error estimate scaled
-    componentwise by TOL * (1 + max(|y|, |y_new|)) on the stacked (z, L)
-    state is at most 1.  steps[b] and sample_every fix only the initial
-    step and the sample grid: samples at multiples of
+    accept/reject decision.  A step is accepted when the pair's combined
+    5th/3rd-order error estimate, over the row's own n + 1 components and
+    scaled componentwise by TOL * (1 + max(|y|, |y_new|)) on the stacked
+    (z, L) state, is at most 1.  steps[b] and sample_every fix only the
+    initial step and the sample grid: samples at multiples of
     sample_every * steps[b] and always at t_ends[b], filled from the
-    pair's 4th-order continuous extension.  A stage with negative
-    productivity rejects the row's step and halves it; the row fails with
-    NegativeProductivityError once the step falls below 1e-9 * steps[b].
-    A non-finite trial state or error estimate fails the row with
-    IntegrationBlowupError at once.  Failed and finished rows leave the
-    batch; the others carry on.  Economies of different sizes are padded
-    to the largest n with inert technologies that get no share.  Shares
-    and growth rates come from one call of the integration field on all of
-    a row's samples.  A row's field_evaluations counts the evaluations
-    made for it: one at the start and six per attempted step.
+    pair's 7th-order continuous extension, whose three extra stages are
+    computed only for rows whose step holds samples.  A stage or a sample
+    with negative productivity rejects the row's step and halves it; the
+    row fails with NegativeProductivityError once the step falls below
+    1e-9 * steps[b].  A non-finite trial state or error estimate fails the
+    row with IntegrationBlowupError at once.  Failed and finished rows
+    leave the batch; the others carry on.  Economies of different sizes
+    are padded to the largest n with inert technologies that get no share.
+    Shares and growth rates come from the field evaluation that checks
+    each sample.  A row's field_evaluations counts the evaluations made
+    for it: one at the start (the first sample's), twelve per attempted
+    step, three more per step that fills samples, and one per sample
+    filled, also in a step that one of them then rejects.
     """
     b_all = len(models)
     t_ends = np.asarray(t_ends, dtype=float)
     steps = np.asarray(steps, dtype=float)
     if t_ends.shape != (b_all,) or steps.shape != (b_all,):
         raise ValueError("t_ends and steps need one entry per model")
-    if np.any(t_ends <= 0):
-        raise ValueError(f"t_end must be positive, got {t_ends.min()}")
-    if np.any(steps <= 0):
-        raise ValueError(f"step must be positive, got {steps.min()}")
+    for name, values in (("t_end", t_ends), ("step", steps)):
+        bad = ~(np.isfinite(values) & (values > 0))
+        if bad.any():
+            raise ValueError(f"{name} must be positive and finite, got {values[bad][0]}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if not b_all:
@@ -240,8 +331,12 @@ def simulate_batch(
     n_samples = np.array([g.size for g in grids], dtype=int)
     # each row's sample times, then +inf past its last sample
     grid = np.full((b_all, int(n_samples.max()) + 1), np.inf)
-    # states padded to n technologies: z, zeros, then L
-    out = np.zeros((b_all, grid.shape[1] - 1, n + 1))  # the samples
+    # at the samples: states padded to n technologies (z, zeros, then L),
+    # v, shares and sector growth
+    out = np.zeros((b_all, grid.shape[1] - 1, n + 1))
+    out_v = np.zeros(out.shape[:2] + (n,))
+    out_s = np.zeros_like(out_v)
+    out_g = np.zeros(out.shape[:2])
     k0 = np.zeros((b_all, n + 1))  # the field at the initial state
     f = np.zeros((b_all, n, n))
     for b, (model, times) in enumerate(zip(models, grids)):
@@ -257,7 +352,7 @@ def simulate_batch(
             continue
         y0 = np.append(q0 / total0, math.log(total0))
         p = model.params
-        ydot, _, _, negative = _field(y0, model.matrix.entries, p.nu, p.alpha, p.s_total)
+        ydot, v, shares, negative = _field(y0, model.matrix.entries, p.nu, p.alpha, p.s_total)
         if negative:
             results[b] = NegativeProductivityError(
                 "productivity is negative at the initial state"
@@ -265,6 +360,7 @@ def simulate_batch(
             continue
         padding = [m] * (n - m)
         out[b, 0] = np.insert(y0, padding, 0.0)
+        out_v[b, 0, :m], out_s[b, 0, :m], out_g[b, 0] = v, shares, ydot[-1]
         k0[b] = np.insert(ydot, padding, 0.0)
 
     # the rows still integrating; every per-row array below follows `rows`
@@ -282,11 +378,13 @@ def simulate_batch(
     dof = sizes[rows] + 1.0
     t, t_end, h = np.zeros(rows.size), t_ends[rows], steps[rows]
     h_min = 1e-9 * h
-    t_next = grid[rows, 1]  # each row's next sample time
-    k = np.empty((rows.size, 7, n + 1))
+    i_next = np.ones(rows.size, dtype=int)  # each row's next sample
+    k = np.empty((rows.size, 16, n + 1))
     k[:, 0] = k0[rows]
     attempted = np.zeros(b_all, dtype=int)
     rejected = np.zeros(b_all, dtype=int)
+    # evaluations beyond the first and the twelve per attempted step
+    extra = np.zeros(b_all, dtype=int)
 
     steps_taken = 0  # by every row still in the batch
     while rows.size:
@@ -294,44 +392,68 @@ def simulate_batch(
         last = t + h >= t_end
         h = np.where(last, t_end - t, h)
         hc = h[:, None]
-        negative = None
-        for i in range(1, 7):
-            # the last stage point is the 5th-order solution y_new
+        negative = np.zeros(rows.size, dtype=bool)
+        for i in range(1, 13):
+            # the last stage point is the 8th-order solution y_new
             y_new = y + hc * (_A[i] @ k[:, :i])
             k[:, i], _, _, neg = _field(y_new, f, nu, alpha, s_total)
             if neg is not None:
-                negative = neg if negative is None else negative | neg
+                negative |= neg
         scale = TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-        err = np.sqrt(np.add.reduce((hc * (_E @ k) / scale) ** 2, axis=1) / dof)
+        e5 = np.add.reduce((_E5 @ k[:, :12] / scale) ** 2, axis=1)
+        e3 = np.add.reduce((_E3 @ k[:, :12] / scale) ** 2, axis=1)
+        denom = e5 + 0.01 * e3
+        with np.errstate(invalid="ignore", divide="ignore"):
+            err = np.where(denom == 0.0, 0.0, h * e5 / np.sqrt(denom * dof))
         finite = np.isfinite(err) & np.isfinite(y_new).all(axis=1)
-        accept = finite & (err <= 1.0)
-        if negative is not None:
-            accept &= ~negative
+        accept = finite & (err <= 1.0) & ~negative
         t_new = np.where(last, t_end, t + h)
 
-        # samples in (t, t_new] from the continuous extension, all rows'
-        # at once: one entry per (row, sample) pair
-        r = np.flatnonzero(accept & (t_next <= t_new))
+        r = np.flatnonzero(accept & (grid[rows, i_next] <= t_new))
         if r.size:
+            kr, yr, hr, fr, nur, alphar, sr = _take(r, k, y, hc, f, nu, alpha, s_total)
+            for i in range(13, 16):
+                kr[:, i], _, _, neg = _field(yr + hr * (_A[i] @ kr[:, :i]), fr, nur, alphar, sr)
+                if neg is not None:
+                    negative[r] |= neg
+            # the continuous extension of y and, F z being linear in z, of
+            # F z: F meets the step's 8 vectors once per row, not every sample
+            ext = np.concatenate((yr[:, None], _DENSE @ kr), axis=1)
+            ext = np.concatenate((ext, ext[..., :-1] @ fr.transpose(0, 2, 1)), axis=2)
             times = grid[rows[r]]
             upto = times <= t_new[r, None]
+            # one entry per (row, sample) pair in (t, t_new]
             pair, col = np.nonzero(upto & (times > t[r, None]))
-            at = r[pair]
-            th = (times[pair, col] - t[at]) / h[at]
+            th = (times[pair, col] - t[r[pair]]) / h[r[pair]]
             u = th * (1 - th)
-            # stacked products, so that a row's samples do not depend on
+            u2 = u * u
+            basis = np.column_stack((th, u, th * u, u2, th * u2, u * u2, th * u * u2))
+            # products per pair, so that a row's samples do not depend on
             # which other rows share the batch
-            basis = np.column_stack((th, u, th * u, u * u))[:, None]
-            out[rows[at], col] = y[at] + hc[at] * (basis @ (_DENSE @ k[at]))[:, 0]
-            t_next[r] = times[np.arange(r.size), np.add.reduce(upto, axis=1)]
+            ext = ext[pair]
+            ys = ext[:, 0] + hr[pair] * (basis[:, None] @ ext[:, 1:])[:, 0]
+            ys, fz = ys[:, : n + 1], ys[:, n + 1 :]
+            # a sample at the step's end is the integrated state itself
+            end = th == 1.0
+            ys[end] = y_new[r[pair[end]]]
+            ydot, v, shares, neg = _rates(ys, fz, nur[pair], alphar[pair], sr[pair])
+            count = np.add.reduce(upto, axis=1) - i_next[r]
+            extra[rows[r]] += 3 + count
+            if neg is not None:
+                negative[r[pair[neg]]] = True
+            accept &= ~negative
+            kept = accept[r[pair]]
+            at = rows[r[pair[kept]]], col[kept]
+            out[at], out_v[at], out_s[at], out_g[at] = (
+                ys[kept], v[kept], shares[kept], ydot[kept, -1]
+            )
+            i_next[r] += np.where(accept[r], count, 0)
 
         # the error estimate is exactly 0 on solutions linear in t
-        factor = np.minimum(np.maximum(_SAFETY * np.maximum(err, 1e-10) ** -0.2, _FAC_MIN), _FAC_MAX)
+        factor = np.minimum(np.maximum(_SAFETY * np.maximum(err, 1e-10) ** -0.125, _FAC_MIN), _FAC_MAX)
+        factor = np.where(negative, 0.5, factor)
         rejected[rows] += ~accept
-        blowup = ~finite
-        if negative is not None:
-            blowup &= ~negative
-            factor = np.where(negative, 0.5, factor)
+        blowup = ~finite & ~negative
         h = h * factor
         failed = blowup | (~accept & (h < h_min))
         for r in np.flatnonzero(failed):
@@ -340,7 +462,7 @@ def simulate_batch(
                 error = IntegrationBlowupError(
                     f"non-finite state in the step from t = {tr}", last_good_time=tr
                 )
-            elif negative is not None and negative[r]:
+            elif negative[r]:
                 error = NegativeProductivityError(
                     f"productivity went negative in every step from t = {tr} "
                     f"down to step size {h_min[r]:g}"
@@ -351,41 +473,36 @@ def simulate_batch(
                 )
             results[rows[r]] = error
         y = np.where(accept[:, None], y_new, y)
-        k[:, 0] = np.where(accept[:, None], k[:, 6], k[:, 0])
+        k[:, 0] = np.where(accept[:, None], k[:, 12], k[:, 0])
         t = np.where(accept, t_new, t)
         drop = (last & accept) | failed
         if drop.any():
-            done = drop & accept
-            # the final sample is the integrated state itself
-            out[rows[done], n_samples[rows[done]] - 1] = y[done]
             attempted[rows[drop]] = steps_taken
-            rows, y, k, f, nu, alpha, s_total, dof, t, t_end, h, h_min, t_next = _take(
-                ~drop, rows, y, k, f, nu, alpha, s_total, dof, t, t_end, h, h_min, t_next
+            rows, y, k, f, nu, alpha, s_total, dof, t, t_end, h, h_min, i_next = _take(
+                ~drop, rows, y, k, f, nu, alpha, s_total, dof, t, t_end, h, h_min, i_next
             )
 
-    for b, model in enumerate(models):
+    for b in range(b_all):
         if results[b] is not None:
             continue
-        m = sizes[b]
-        ys = np.delete(out[b, : n_samples[b]], np.s_[m:n], axis=1)
-        p = model.params
-        ydot, v, shares, negative = _field(ys, model.matrix.entries, p.nu, p.alpha, p.s_total)
-        if negative is not None and negative.any():
-            results[b] = NegativeProductivityError(
-                f"productivity is negative at the sample t = {grids[b][negative.argmax()]}"
-            )
-            continue
-        zs = ys[:, :-1]
+        m, ns = sizes[b], n_samples[b]
+        zs = out[b, :ns, :m].copy()
+        v = out_v[b, :ns, :m]
+        shares = out_s[b, :ns, :m].copy()
+        if m < n:
+            # where no technology has productivity, the shares are uniform
+            # over the padding technologies too
+            shares[out_s[b, :ns, m:].any(axis=1)] = 1.0 / m
         with np.errstate(divide="ignore", invalid="ignore"):
             growth = np.where(zs > 0, v / np.where(zs > 0, zs, 1.0), np.nan)
         results[b] = Trajectory(
             times=grids[b],
             z=zs,
-            logsum=ys[:, -1],
+            logsum=out[b, :ns, -1].copy(),
             shares=shares,
             tech_growth=growth,
-            sector_growth=ydot[:, -1],
-            field_evaluations=1 + 6 * int(attempted[b]),
+            sector_growth=out_g[b, :ns].copy(),
+            field_evaluations=1 + 12 * int(attempted[b]) + int(extra[b]),
             accepted_steps=int(attempted[b] - rejected[b]),
             rejected_steps=int(rejected[b]),
         )

@@ -10,6 +10,7 @@ reports never present guessed numbers as given ones.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from .dynamics import (
 from .longrun import LongRunSolution, RegimePrediction, predict_regime
 from .model import (
     EconomyParams,
+    NonFiniteEntryError,
     QualityState,
     SpilloverMatrix,
     SpillnetError,
@@ -69,10 +71,12 @@ class Scenario:
 
     def __post_init__(self):
         validate_model(self.matrix, self.params, self.q0)
-        if self.horizon <= 0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        if self.step <= 0:
-            raise ValidationError(f"step must be positive, got {self.step}")
+        for name in ("horizon", "step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise NonFiniteEntryError(f"{name} is not finite: {value!r}")
+            if value <= 0:
+                raise ValidationError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

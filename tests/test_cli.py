@@ -159,3 +159,37 @@ def test_sweep_keeps_group_results_when_one_fails_during_integration(tmp_path, c
     for name in ("fig12-oneway", "fig12-circular"):
         report = json.loads((out_dir / f"{name}.report.json").read_text())
         assert index[name]["terminal_growth"] == report["simulation"]["terminal_growth_rate"]
+
+
+@pytest.mark.parametrize("field, value", [("horizon", "NaN"), ("horizon", "Infinity"), ("step", "NaN")])
+def test_sweep_reports_non_finite_horizon_or_step(tmp_path, capsys, field, value):
+    scenarios_dir = tmp_path / "scenarios"
+    scenarios_dir.mkdir()
+    write_scenario(replace(builtin_scenario("fig12-oneway"), horizon=5.0), scenarios_dir / "good.json")
+    doc = json.loads((scenarios_dir / "good.json").read_text())
+    doc["name"] = "bad"
+    # json writes and reads NaN and Infinity as bare literals
+    (scenarios_dir / "bad.json").write_text(json.dumps(doc).replace(
+        f'"{field}": {doc[field]}', f'"{field}": {value}'
+    ))
+    assert json.loads((scenarios_dir / "bad.json").read_text())[field] != doc[field]
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(scenarios_dir), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert "bad: NonFiniteEntryError: " in captured.err
+    assert (out_dir / "fig12-oneway.csv").exists()
+    index = json.loads((out_dir / "sweep.json").read_text())
+    assert set(index) == {"fig12-oneway", "bad"}
+    assert index["fig12-oneway"]["regime"] == "polynomial"
+    assert index["bad"]["error"].startswith(f"NonFiniteEntryError: {scenarios_dir / 'bad.json'}: {field} ")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    scenarios_dir = tmp_path / "scenarios"
+    scenarios_dir.mkdir()
+    write_scenario(replace(builtin_scenario("fig12-oneway"), horizon=5.0), scenarios_dir / "a.json")
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(scenarios_dir), "--out", str(out_dir), "--workers", workers]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -124,13 +124,62 @@ def test_field_evaluation_budget_on_builtins():
     for scenario in builtin_scenarios():
         model = validate_model(scenario.matrix, scenario.params, scenario.q0)
         traj = simulate(model, scenario.horizon, step=scenario.step)
-        assert 0 < traj.field_evaluations < 5000, scenario.name
-        assert traj.field_evaluations >= 6 * traj.accepted_steps > 0
+        assert 0 < traj.field_evaluations < 2500, scenario.name
+        assert traj.field_evaluations >= 12 * traj.accepted_steps > 0
+
+
+# the DOP853 nodes, which the integrator itself never needs (the field
+# does not depend on t)
+_SQRT6 = math.sqrt(6.0)
+_NODES = np.array([
+    0.0, (6 - _SQRT6) / 67.5, (6 - _SQRT6) / 45, (6 - _SQRT6) / 30, (6 + _SQRT6) / 30,
+    1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0, 1.0, 1 / 10, 1 / 5, 7 / 9,
+])
+
+
+def _dense_weights(theta):
+    from spillnet import dynamics
+
+    u = theta * (1 - theta)
+    basis = np.array([theta, u, theta * u, u**2, theta * u**2, u**3, theta * u**3])
+    return basis @ dynamics._DENSE
+
+
+def test_tableau_order_conditions():
+    from spillnet import dynamics
+
+    for i in range(1, 16):
+        assert dynamics._A[i].shape == (i,)
+        assert dynamics._A[i].sum() == pytest.approx(_NODES[i], abs=1e-15), i
+    b = dynamics._A[12]
+    for k in range(1, 9):
+        assert b @ _NODES[:12] ** (k - 1) == pytest.approx(1 / k, abs=1e-15), k
+    assert abs(dynamics._E5.sum()) < 1e-15
+    assert abs(dynamics._E3.sum()) < 1e-15
+    # the embedded 5th- and 3rd-order solutions: b - E5 is exact on
+    # polynomials up to degree 4 and b - E3 up to degree 2, and no further
+    for weights, order in ((b - dynamics._E5, 5), (b - dynamics._E3, 3)):
+        residuals = [weights @ _NODES[:12] ** (k - 1) - 1 / k for k in range(1, order + 2)]
+        assert np.abs(residuals[:order]).max() < 1e-15
+        assert abs(residuals[order]) > 1e-6
+
+
+def test_continuous_extension_end_points_and_order():
+    from spillnet import dynamics
+
+    # y(0) = y and y(1) = y_new exactly
+    assert np.array_equal(_dense_weights(0.0), np.zeros(16))
+    assert np.array_equal(_dense_weights(1.0), np.pad(dynamics._A[12], (0, 4)))
+    for theta in (0.1, 0.37, 0.5, 0.83):
+        w = _dense_weights(theta)
+        residuals = [w @ _NODES ** (k - 1) - theta**k / k for k in range(1, 9)]
+        assert np.abs(residuals[:7]).max() < 1e-13, theta  # 7th order
+        assert abs(residuals[7]) > 1e-7, theta
 
 
 def test_dense_output_matches_raw_integration_between_steps(model_factory, raw_rk4):
-    # samples inside steps come from the 4th-order continuous extension;
-    # dropping its last term shows up here as errors of about 7e-11
+    # samples inside steps come from the 7th-order continuous extension;
+    # dropping its last term shows up here as errors of about 1e-11
     rows = [[3 / 4, 0, 0, 1], [1 / 2, 1 / 2, 0, 0], [0, 1 / 3, 0, 1], [0, 0, 3, 0]]
     q0 = [1, 0.1, 0.1, 0.1]
     model = model_factory(rows, q0=q0)
@@ -139,7 +188,7 @@ def test_dense_output_matches_raw_integration_between_steps(model_factory, raw_r
     assert traj.accepted_steps > traj.times.size
     for t, z, logsum in zip(traj.times[1:], traj.z[1:], traj.logsum[1:]):
         q_ref = raw_rk4(np.array(rows, float), q0, 0.5, 0.0, 1.0, t, 1e-3)
-        np.testing.assert_allclose(z, q_ref / q_ref.sum(), atol=3e-12)
+        np.testing.assert_allclose(z, q_ref / q_ref.sum(), rtol=0, atol=3e-12)
         assert logsum == pytest.approx(math.log(q_ref.sum()), abs=3e-12)
 
 
@@ -159,7 +208,7 @@ def test_nan_field_raises_blowup_at_once(model_factory, monkeypatch):
     with pytest.raises(IntegrationBlowupError) as info:
         simulate(model_factory([[0, 1], [1, 0]]), 20.0)
     assert info.value.last_good_time == 0.0
-    assert len(calls) <= 7  # one step: the initial stage plus six more
+    assert len(calls) <= 13  # one step: the initial stage plus twelve more
 
 
 def test_negative_productivity_stage_rejects_step(model_factory, monkeypatch):
@@ -204,8 +253,69 @@ def test_persistent_negative_productivity_is_reraised(model_factory, monkeypatch
     with pytest.raises(NegativeProductivityError):
         simulate(model_factory([[0, 1], [1, 0]]), 5.0)
     # halving from step to 1e-9 * step takes about 30 rejected steps, each
-    # of six stage evaluations after the initial one
-    assert (len(calls) - 1) / 6 < 40
+    # of twelve stage evaluations after the initial one
+    assert (len(calls) - 1) / 12 < 40
+
+
+def test_negative_productivity_sample_rejects_step(model_factory, monkeypatch):
+    from spillnet import dynamics
+
+    model = model_factory([[0, 1], [1, 0]], alpha=0.5)
+    clean = simulate(model, 5.0)
+    rates = dynamics._rates
+    flagged = []
+
+    def flaky_rates(y, *args):
+        ydot, v, shares, negative = rates(y, *args)
+        if not flagged and y.ndim == 2 and y.shape[0] > 1:
+            # a stage of a batch of one has one state, so this is the
+            # evaluation of the first step that holds several samples
+            flagged.append(y.shape[0])
+            return ydot, v, shares, np.arange(y.shape[0]) == 1
+        return ydot, v, shares, negative
+
+    monkeypatch.setattr(dynamics, "_rates", flaky_rates)
+    traj = simulate(model, 5.0)
+    assert flagged
+    assert traj.rejected_steps == clean.rejected_steps + 1
+    np.testing.assert_allclose(traj.z, clean.z, atol=1e-10)
+    np.testing.assert_allclose(traj.logsum, clean.logsum, atol=1e-10)
+    np.testing.assert_allclose(traj.shares, clean.shares, atol=1e-10)
+
+
+def _counting_rates(monkeypatch):
+    """Count the states at which the field is evaluated."""
+    from spillnet import dynamics
+
+    rates = dynamics._rates
+    states = []
+
+    def counting_rates(y, *args):
+        states.append(y[..., 0].size)
+        return rates(y, *args)
+
+    monkeypatch.setattr(dynamics, "_rates", counting_rates)
+    return states
+
+
+def test_field_evaluations_count_every_state_evaluated(model_factory, monkeypatch):
+    cycle = model_factory([[0, 1], [1, 0]], alpha=0.5)
+    ring = model_factory(np.roll(np.eye(4), 1, axis=0) + 0.5 * np.eye(4), nu=0.3, q0=[1, 2, 1, 0.5])
+    alone = []
+    for model, t_end in ((cycle, 6.0), (ring, 9.0)):
+        states = _counting_rates(monkeypatch)
+        traj = simulate(model, t_end, step=0.01, sample_every=7)
+        assert traj.field_evaluations == sum(states)
+        # besides the first evaluation and twelve per attempted step: three
+        # per step that fills samples, and one per sample after the first
+        attempted = traj.accepted_steps + traj.rejected_steps
+        dense = traj.field_evaluations - 1 - 12 * attempted - (traj.times.size - 1)
+        assert dense % 3 == 0 and 0 < dense <= 3 * traj.accepted_steps
+        alone.append(traj)
+    states = _counting_rates(monkeypatch)
+    batch = simulate_batch([cycle, ring], [6.0, 9.0], [0.01, 0.01], sample_every=7)
+    assert [traj.field_evaluations for traj in batch] == [traj.field_evaluations for traj in alone]
+    assert sum(states) == sum(traj.field_evaluations for traj in batch)
 
 
 def test_nonreceivers_lose_all_scientists(model_factory):
@@ -356,6 +466,9 @@ def test_simulate_argument_validation(model_factory):
         simulate(model, 1.0, step=0.0)
     with pytest.raises(ValueError):
         simulate(model, 1.0, sample_every=0)
+    for t_end, step in ((math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            simulate(model, t_end, step=step)
 
 
 @pytest.mark.parametrize(
@@ -382,8 +495,11 @@ def test_batch_pads_mixed_sizes_out_of_the_shares(model_factory):
     rows = np.roll(np.eye(5), 1, axis=0)
     ring = model_factory(rows, nu=0.3, alpha=1.0, q0=[1.0, 2.0, 1.0, 0.5, 1.0])
     independent = model_factory([[0, 0], [0, 0]], alpha=1.0, q0=[1.0, 3.0])
-    models = [cycle, ring, independent]
-    t_ends, steps = [6.0, 6.0, 3.0], [0.01, 0.02, 0.01]
+    # no technology ever has productivity, so the shares stay uniform over
+    # the economy's own two technologies
+    idle = model_factory([[0, 1], [0, 1]], q0=[1.0, 0.0])
+    models = [cycle, ring, independent, idle]
+    t_ends, steps = [6.0, 6.0, 3.0, 3.0], [0.01, 0.02, 0.01, 0.01]
     batch = simulate_batch(models, t_ends, steps)
     for model, t_end, step, traj in zip(models, t_ends, steps, batch):
         alone = simulate(model, t_end, step=step)
