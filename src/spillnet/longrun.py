@@ -258,8 +258,11 @@ def _solve_support_system(
             continue
         idx, f_sub, z = solved
         # Perron-Frobenius gives z* > 0 on a strongly connected support, so
-        # any positive z is accepted there, however small its entries
-        floor = 0.0 if closure(f_sub != 0).all() else _POSITIVITY_FLOOR
+        # any positive z is accepted there, however small its entries.  No
+        # path leaves a candidate (a union of core closures), so its block
+        # of the full closure is the closure of its induced subgraph.
+        strong = report.closure[np.ix_(idx, idx)].all()
+        floor = 0.0 if strong else _POSITIVITY_FLOOR
         if z.min() <= 0.0 or z.min() < floor:
             continue
         residual = _pairwise_residual(z, f_sub, params.nu)

@@ -6,6 +6,12 @@ transmit influence, so reachability (closure, components, cores) is
 computed over nonzero entries and the negative positions are reported
 separately; the named structure classes are only granted when the matrix
 is nonnegative or eventually nonnegative.
+
+`classify` takes one closure per matrix.  SCCs, cores and weak
+components are read off it, and above DENSE_SPECTRUM_LIMIT the
+dominant eigenvalue is taken block by block over the SCCs: a singleton
+gives its diagonal entry, a small or signed block a dense eigensolve,
+and only a large nonnegative block goes to power iteration.
 """
 
 from __future__ import annotations
@@ -45,16 +51,19 @@ def closure(a: np.ndarray) -> np.ndarray:
 
     Entry (i, j) is true iff a directed path of length >= 1 leads from j
     to i (following the receiver-row edge convention of `adjacency`); the
-    diagonal is true exactly on nodes that lie on a cycle.  This is the
-    only graph traversal in the module: components and orderings below
-    are read off the closure.
+    diagonal is true exactly on nodes that lie on a cycle.  Round k joins
+    row k (what reaches k) into the rows of the nodes k reaches and
+    touches no other row, so on sparse graphs a round costs |rows| * n
+    rather than n^2.  A node without in-edges or without out-edges is an
+    inner node of no path, so its round is skipped.
     """
     a = np.asarray(a, dtype=bool)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"closure needs a square boolean matrix, got {a.shape}")
     reach = a.copy()
-    for k in range(a.shape[0]):
-        reach |= reach[:, k, None] & reach[None, k, :]
+    for k in np.flatnonzero(a.any(axis=0) & a.any(axis=1)):
+        rows = reach[:, k].nonzero()[0]
+        reach[rows] |= reach[k]
     return reach
 
 
@@ -80,13 +89,29 @@ def strongly_connected_components(reach: np.ndarray) -> list[frozenset[int]]:
     mutual = reach & reach.T
     np.fill_diagonal(mutual, True)
     firsts = np.flatnonzero(mutual.argmax(axis=1) == np.arange(len(mutual)))
-    return [frozenset(np.flatnonzero(mutual[i]).tolist()) for i in firsts]
+    return [frozenset(mutual[i].nonzero()[0].tolist()) for i in firsts]
 
 
 def weak_components(reach: np.ndarray) -> list[frozenset[int]]:
-    """Connected components of the closure with edge direction ignored:
-    the SCCs of the symmetrised graph."""
-    return strongly_connected_components(closure(reach | reach.T))
+    """Connected components of the closure with edge direction ignored,
+    ordered by smallest member.
+
+    Each component is grown from its smallest unseen node by a frontier
+    over the symmetrised closure, so every node's row is read once.
+    """
+    linked = reach | reach.T
+    seen = np.zeros(len(linked), dtype=bool)
+    components = []
+    while not seen.all():
+        member = np.zeros_like(seen)
+        member[seen.argmin()] = True
+        frontier = member
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~member
+            member |= frontier
+        seen |= member
+        components.append(frozenset(np.flatnonzero(member).tolist()))
+    return components
 
 
 def is_eventually_nonnegative(
@@ -136,6 +161,19 @@ def dominant_eigenvalue_power(
             return lam_new - sigma
         v, lam = v_new, lam_new
     return lam - sigma
+
+
+def _block_dominant(f: np.ndarray, members: list[int]) -> float:
+    """Rightmost eigenvalue of the diagonal block F[members, members] of
+    one SCC.  Power iteration is kept for large nonnegative blocks: on a
+    signed block F + sigma*I need not have the Perron property, and the
+    iteration can settle on another eigenvalue or never converge."""
+    if len(members) == 1:
+        return float(f[members[0], members[0]])
+    block = f[np.ix_(members, members)]
+    if len(members) <= DENSE_SPECTRUM_LIMIT or block.min() < 0.0:
+        return float(np.linalg.eigvals(block).real.max())
+    return dominant_eigenvalue_power(SpilloverMatrix(block))
 
 
 def _classes(
@@ -205,10 +243,7 @@ def classify(matrix: SpilloverMatrix) -> StructureReport:
         # F is block-triangular over its SCCs, so its spectrum is the
         # union of the spectra of its diagonal blocks F[b, b]
         spectrum = None
-        dominant = max(
-            dominant_eigenvalue_power(SpilloverMatrix(f[np.ix_(b, b)]))
-            for b in (sorted(c) for c in sccs)
-        )
+        dominant = max(_block_dominant(f, sorted(c)) for c in sccs)
 
     return StructureReport(
         adjacency=adj,

@@ -11,6 +11,7 @@ from spillnet import (
     TransitionSearchExhaustedError,
     block_winner,
     classify,
+    closure,
     construct_transition,
     detect_transitions,
     predict_regime,
@@ -205,6 +206,29 @@ def test_candidate_supports_match_brute_force_subsets():
         assert got == expected
         several += len(expected) >= 2
     assert several >= 20  # multi-candidate cases are where the order matters
+
+
+def test_candidate_closure_block_is_induced_closure():
+    # no path leaves a candidate (a union of core closures), so the block of
+    # the full closure over its members, which the solver reads strong
+    # connectivity from, equals the closure of the induced subgraph
+    from spillnet.longrun import _candidate_supports
+
+    rng = np.random.default_rng(11)
+    counts = {"signed": 0, "strong": 0, "not strong": 0}
+    for _ in range(300):
+        f = random_structured_matrix(rng)
+        matrix = SpilloverMatrix(f)
+        report = classify(matrix)
+        if not (matrix.nonnegative or report.eventually_nonnegative[0]):
+            continue
+        for support in _candidate_supports(f, report):
+            idx = sorted(support)
+            block = report.closure[np.ix_(idx, idx)]
+            np.testing.assert_array_equal(block, closure(f[np.ix_(idx, idx)] != 0))
+            counts["signed"] += not matrix.nonnegative
+            counts["strong" if block.all() else "not strong"] += 1
+    assert counts["signed"] >= 10 and min(counts.values()) >= 10, counts
 
 
 def test_candidate_supports_order_by_size_then_members_at_n16():
