@@ -10,8 +10,7 @@ is nonnegative or eventually nonnegative.
 `classify` takes one closure per matrix.  SCCs, cores and weak
 components are read off it, and above DENSE_SPECTRUM_LIMIT the
 dominant eigenvalue is taken block by block over the SCCs: a singleton
-gives its diagonal entry, a small or signed block a dense eigensolve,
-and only a large nonnegative block goes to power iteration.
+gives its diagonal entry and any larger block a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -54,14 +53,13 @@ def closure(a: np.ndarray) -> np.ndarray:
     diagonal is true exactly on nodes that lie on a cycle.  Round k joins
     row k (what reaches k) into the rows of the nodes k reaches and
     touches no other row, so on sparse graphs a round costs |rows| * n
-    rather than n^2.  A node without in-edges or without out-edges is an
-    inner node of no path, so its round is skipped.
+    rather than n^2.
     """
     a = np.asarray(a, dtype=bool)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"closure needs a square boolean matrix, got {a.shape}")
     reach = a.copy()
-    for k in np.flatnonzero(a.any(axis=0) & a.any(axis=1)):
+    for k in range(a.shape[0]):
         rows = reach[:, k].nonzero()[0]
         reach[rows] |= reach[k]
     return reach
@@ -89,7 +87,7 @@ def strongly_connected_components(reach: np.ndarray) -> list[frozenset[int]]:
     mutual = reach & reach.T
     np.fill_diagonal(mutual, True)
     firsts = np.flatnonzero(mutual.argmax(axis=1) == np.arange(len(mutual)))
-    return [frozenset(mutual[i].nonzero()[0].tolist()) for i in firsts]
+    return [frozenset(np.flatnonzero(mutual[i]).tolist()) for i in firsts]
 
 
 def weak_components(reach: np.ndarray) -> list[frozenset[int]]:
@@ -165,15 +163,10 @@ def dominant_eigenvalue_power(
 
 def _block_dominant(f: np.ndarray, members: list[int]) -> float:
     """Rightmost eigenvalue of the diagonal block F[members, members] of
-    one SCC.  Power iteration is kept for large nonnegative blocks: on a
-    signed block F + sigma*I need not have the Perron property, and the
-    iteration can settle on another eigenvalue or never converge."""
+    one SCC: a singleton's diagonal entry, otherwise a dense eigensolve."""
     if len(members) == 1:
         return float(f[members[0], members[0]])
-    block = f[np.ix_(members, members)]
-    if len(members) <= DENSE_SPECTRUM_LIMIT or block.min() < 0.0:
-        return float(np.linalg.eigvals(block).real.max())
-    return dominant_eigenvalue_power(SpilloverMatrix(block))
+    return float(np.linalg.eigvals(f[np.ix_(members, members)]).real.max())
 
 
 def _classes(

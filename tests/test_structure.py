@@ -405,14 +405,18 @@ def spectrum_mix(rng):
     return [blocks[i] for i in order]
 
 
+def refuse_power_iteration(monkeypatch):
+    # classify takes every SCC block of two or more nodes to a dense
+    # eigensolve; power iteration on F + sigma*I can settle on the wrong
+    # eigenvalue of a signed block and stall on a long weighted cycle
+    def refuse(matrix, *args, **kwargs):
+        raise AssertionError(f"power iteration on a {matrix.n}-node block")
+
+    monkeypatch.setattr(structure, "dominant_eigenvalue_power", refuse)
+
+
 def test_large_spectrum_matches_dense_on_block_mixes(rng, monkeypatch):
-    power_blocks = []
-
-    def spy(matrix, *args, **kwargs):
-        power_blocks.append(matrix.entries)
-        return dominant_eigenvalue_power(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(structure, "dominant_eigenvalue_power", spy)
+    refuse_power_iteration(monkeypatch)
     for _ in range(40):
         blocks = spectrum_mix(rng)
         f = block_triangular(blocks, rng)
@@ -422,23 +426,31 @@ def test_large_spectrum_matches_dense_on_block_mixes(rng, monkeypatch):
         assert sorted(map(len, sccs)) == sorted(len(b) for b in blocks)
         dense = np.linalg.eigvals(f).real.max()
         assert r.dominant_eigenvalue == pytest.approx(dense, rel=1e-9, abs=1e-12)
-    # only the large nonnegative block of each matrix is power-iterated
-    assert len(power_blocks) == 40
-    assert all(len(b) > 16 and b.min() >= 0 for b in power_blocks)
 
 
 @pytest.mark.parametrize("n", range(17, 25))
 def test_signed_large_block_dominant_eigenvalue_matches_dense(n, monkeypatch):
-    # on F + sigma*I with F signed the Perron property can fail, and power
-    # iteration then lands on the wrong eigenvalue (1.225 instead of 1.796
-    # for n = 17, seed 12) after running to max_iter
-    def refuse(matrix, *args, **kwargs):
-        raise AssertionError(f"power iteration on a signed {matrix.n}-node block")
-
-    monkeypatch.setattr(structure, "dominant_eigenvalue_power", refuse)
+    # power iteration lands on 1.225 instead of 1.796 here for n = 17,
+    # seed 12, after running to max_iter
+    refuse_power_iteration(monkeypatch)
     for seed in range(20):
         f = np.random.default_rng(seed).uniform(-1, 1, (n, n))
         r = classify(SpilloverMatrix(f))
         assert r.dominant_eigenvalue == pytest.approx(
             np.linalg.eigvals(f).real.max(), rel=1e-9
         )
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_long_weighted_cycle_dominant_eigenvalue_is_geometric_mean(n, monkeypatch):
+    # every eigenvalue of a weighted n-cycle has the same modulus, so power
+    # iteration on F + sigma*I has almost no spectral gap to converge on
+    refuse_power_iteration(monkeypatch)
+    w = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    f = np.zeros((n, n))
+    f[(np.arange(n) + 1) % n, np.arange(n)] = w
+    r = classify(SpilloverMatrix(f))
+    assert r.irreducible
+    assert r.dominant_eigenvalue == pytest.approx(
+        np.exp(np.log(w).mean()), rel=1e-12
+    )
