@@ -83,7 +83,7 @@ def _cmd_longrun(args) -> int:
         else _solve_support_system(scenario.matrix, scenario.params, report)
     )
     if not solutions:
-        print("no growing long-run solution")
+        print("no stable balanced-growth candidate")
     for sol in solutions:
         zs = ", ".join(f"{v:.6g}" for v in sol.z_star)
         print(

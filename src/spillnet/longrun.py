@@ -31,8 +31,6 @@ from .model import (
 )
 from .structure import StructureReport, classify, closure
 
-SUPPORT_LIMIT = 20
-
 _DAMPING = 0.5
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 100_000
@@ -114,8 +112,12 @@ def _interior_unstable(z, f_sub, nu, s_total, scale) -> bool:
 
 def _solve_on_support(f, support, nu, s_total):
     """Damped nonlinear power iteration z <- normalize(diag((sS)^nu) F z)
-    restricted to the support; None when it fails to converge or leaves
-    the positive region.
+    restricted to the support.
+
+    Returns the sorted members, F on them, the fixed point z, its shares s
+    and its growth rate, the rightmost eigenvalue of diag((sS)^nu) F_sub;
+    None when the iteration fails to converge or leaves the positive
+    region.
 
     Damping starts at 0.5 and shrinks whenever the update direction
     reverses: on bipartite cores with strong share concentration (large
@@ -140,7 +142,9 @@ def _solve_on_support(f, support, nu, s_total):
         prev_delta = delta
         z_new = z + lam * delta
         if np.abs(z_new - z).max() < _FP_TOL:
-            return idx, f_sub, z_new
+            s = shares_from_productivities(f_sub @ z_new, nu)
+            growth = np.linalg.eigvals(np.diag((s * s_total) ** nu) @ f_sub)
+            return idx, f_sub, z_new, s, float(growth.real.max())
         z = z_new
     return None
 
@@ -154,44 +158,31 @@ def _pairwise_residual(z, f_sub, nu) -> float:
 
 
 def _candidate_supports(f: np.ndarray, report: StructureReport) -> list[frozenset[int]]:
-    """Every admissible support, ordered by size and then by its sorted
-    members.
+    """The distinct core closures (a core together with everything it
+    reaches) in which every member has a positive inflow from within,
+    ordered by size and then by sorted members: at most one per core.
 
-    A support is admissible when every member has a positive inflow from
-    within it and it exerts no influence (no nonzero entry) on any outside
-    technology.  The admissible supports are exactly the admissible unions
-    of core closures (a core together with everything it reaches):
-
-    - a support that influences no outsider contains everything its members
-      reach, so with any member of a core it contains the core's closure;
-    - following positive inflows backwards from a member stays inside the
-      support and, the support being finite, closes a positive cycle,
-      which lies in a core; the member is reached from that core.
-
-    So a support is the union of the closures of the cores it contains.
-    Conversely every union of closures influences no outsider, and only
-    the positive-inflow condition remains to be checked.
+    A support that can grow on its own exerts no influence on any outside
+    technology, so it is a union of core closures: with any member of a
+    core it holds everything that core reaches, and following positive
+    inflows backwards from a member closes a positive cycle, which lies in
+    a core.  A union of two closures neither of which contains the other
+    is never stable, though: each holds a core the other lacks, the two
+    cores compete for the same scientists, and the share rule
+    s ~ p^(1/(1-nu)) hands more of them to whichever is ahead.  The
+    equal-growth point between them is a saddle, so only single closures
+    are candidates.
     """
     n = f.shape[0]
-    reach = report.closure
-    closures = set()
+    supports = set()
     for core in report.cores:
         mask = np.zeros(n, dtype=bool)
         mask[list(core)] = True
-        mask |= reach[:, mask].any(axis=1)
-        closures.add(int(mask @ (1 << np.arange(n))))
-    unions: set[int] = set()
-    for c in closures:
-        unions |= {u | c for u in unions}
-        unions.add(c)
-    if not unions:
-        return []
-    masks = np.array(sorted(unions))
-    members = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    # every member needs a positive inflow from within the support
-    fed = members @ (f > 0).T
-    members = members[(fed | ~members).all(axis=1)]
-    supports = [frozenset(np.flatnonzero(row).tolist()) for row in members]
+        mask |= report.closure[:, mask].any(axis=1)
+        idx = np.flatnonzero(mask)
+        # every member needs a positive inflow from within the support
+        if (f[np.ix_(idx, idx)] > 0).any(axis=1).all():
+            supports.add(frozenset(idx.tolist()))
     return sorted(supports, key=lambda c: (len(c), sorted(c)))
 
 
@@ -201,13 +192,14 @@ def solve_support_system(
     """All stable candidate surviving sets with their relative qualities,
     asymptotic shares, and common growth rate.
 
-    A support is accepted iff its fixed point converges, stays positive
-    (at least 1e-6 on every member, or above 0 on a support whose nonzero
-    spillovers connect it strongly), satisfies the pairwise equations to
-    within 1e-9, excludes every outside technology structurally, and does
-    not repel within its own simplex.  Diagonal matrices short-circuit to
-    the max-intra-spillover singletons, which is the selection the
-    independent-technology case pins down analytically.
+    The candidates are the core closures (see _candidate_supports), so a
+    network with k cores costs at most k fixed-point solves.  A candidate
+    is accepted iff its fixed point converges, stays positive (at least
+    1e-6 on every member, or above 0 on a support whose nonzero spillovers
+    connect it strongly), satisfies the pairwise equations to within 1e-9
+    and does not repel within its own simplex.  Independent technologies
+    are no exception: for nu in (0, 1) every positive self-spillover is a
+    locally stable survivor, and which one wins depends on the start.
     """
     return _solve_support_system(matrix, params, classify(matrix))
 
@@ -216,51 +208,23 @@ def _solve_support_system(
     matrix: SpilloverMatrix, params: EconomyParams, report: StructureReport
 ) -> list[LongRunSolution]:
     """solve_support_system on a matrix whose classification is at hand."""
-    n = matrix.n
-    if n > SUPPORT_LIMIT:
-        raise PreconditionError(
-            f"support enumeration handles n <= {SUPPORT_LIMIT}, got {n}"
-        )
     if not (matrix.nonnegative or report.eventually_nonnegative[0]):
         raise PreconditionError(
             "long-run analysis requires a nonnegative or eventually "
             "nonnegative spillover matrix"
         )
     f = matrix.entries
-
-    if not np.any(f[~np.eye(n, dtype=bool)]):
-        # independent technologies: the largest self-spillover wins
-        diag = np.diag(f)
-        top = diag.max()
-        if top <= 0:
-            return []
-        solutions = []
-        for i in np.flatnonzero(diag == top):
-            z = np.zeros(n)
-            z[i] = 1.0
-            solutions.append(
-                LongRunSolution(
-                    support=frozenset({int(i)}),
-                    stagnant=frozenset(range(n)) - {int(i)},
-                    z_star=z,
-                    shares_inf=z.copy(),
-                    growth_rate=float(params.s_total**params.nu * top),
-                    residual=0.0,
-                )
-            )
-        return solutions
-
+    n = matrix.n
     solutions = []
-    seen: set[frozenset[int]] = set()
     for support in _candidate_supports(f, report):
         solved = _solve_on_support(f, support, params.nu, params.s_total)
         if solved is None:
             continue
-        idx, f_sub, z = solved
+        idx, f_sub, z, s, growth = solved
         # Perron-Frobenius gives z* > 0 on a strongly connected support, so
         # any positive z is accepted there, however small its entries.  No
-        # path leaves a candidate (a union of core closures), so its block
-        # of the full closure is the closure of its induced subgraph.
+        # path leaves a candidate (a core closure), so its block of the
+        # full closure is the closure of its induced subgraph.
         strong = report.closure[np.ix_(idx, idx)].all()
         floor = 0.0 if strong else _POSITIVITY_FLOOR
         if z.min() <= 0.0 or z.min() < floor:
@@ -268,17 +232,8 @@ def _solve_support_system(
         residual = _pairwise_residual(z, f_sub, params.nu)
         if residual >= _RESIDUAL_TOL:
             continue
-        u = f_sub @ z
-        s = shares_from_productivities(u, params.nu)
-        growth = float(
-            np.linalg.eigvals(np.diag((s * params.s_total) ** params.nu) @ f_sub)
-            .real.max()
-        )
         if _interior_unstable(z, f_sub, params.nu, params.s_total, abs(growth)):
             continue
-        if support in seen:
-            continue
-        seen.add(support)
         z_full = np.zeros(n)
         z_full[idx] = z
         s_full = np.zeros(n)
@@ -307,7 +262,9 @@ def predict_regime(
     (a path through at least one intermediate).  exponential: some cycle
     whose induced submatrix has a positive dominant eigenvalue; survivor
     candidates then come from the support solver, which restricts inputs
-    to nonnegative or eventually nonnegative matrices of desk scale.
+    to nonnegative or eventually nonnegative matrices.  The survivors are
+    known when exactly one candidate is stable; two or more make the
+    outcome depend on initial conditions, and none leaves it open.
     """
     f = matrix.entries
     n = matrix.n
@@ -323,12 +280,8 @@ def predict_regime(
 
     if exponential_core is not None:
         candidates = tuple(_solve_support_system(matrix, params, report))
-        if len(candidates) == 1:
-            survivors: frozenset[int] | None = candidates[0].support
-            path_dependent = False
-        else:
-            survivors = None
-            path_dependent = True
+        # no stable candidate is not path dependence
+        survivors = candidates[0].support if len(candidates) == 1 else None
         if "homogeneous" in report.classes:
             reason = "homogeneous"
         elif "strongly-connected" in report.classes:
@@ -340,7 +293,7 @@ def predict_regime(
             reason=reason,
             survivors=survivors,
             candidates=candidates,
-            initial_condition_dependent=path_dependent,
+            initial_condition_dependent=len(candidates) >= 2,
         )
 
     if not adj.any():
@@ -401,12 +354,7 @@ def block_winner(
         solved = _solve_on_support(f, block, params.nu, params.s_total)
         if solved is None:
             continue
-        idx, f_sub, z = solved
-        s = shares_from_productivities(f_sub @ z, params.nu)
-        rate = float(
-            np.linalg.eigvals(np.diag((s * params.s_total) ** params.nu) @ f_sub)
-            .real.max()
-        )
+        rate = solved[-1]
         if rate > best_rate:
             best_rate = rate
             best_block = block

@@ -350,6 +350,8 @@ def _report_text(report: RunReport) -> str:
                 f"{c['support']} (g={c['growth_rate']:.6g})" for c in pr["candidates"]
             )
         )
+    elif pr["regime"] == "exponential":
+        lines.append("no stable balanced-growth candidate")
     sim = d["simulation"]
     lines += [
         f"realized support: {sim['realized_support']}",

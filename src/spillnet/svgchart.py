@@ -28,13 +28,11 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
         if raw <= m * mag:
             step = m * mag
             break
-    start = math.ceil(lo / step) * step
-    out = []
-    v = start
-    while v <= hi + 1e-12 * step:
-        out.append(round(v, 12))
-        v += step
-    return out
+    # integer multiples of step: an accumulated sum stalls once step is
+    # below the float resolution at lo
+    first = math.ceil(lo / step)
+    last = math.floor(hi / step + 1e-12)
+    return [round(k * step, 12) for k in range(first, last + 1)]
 
 
 def _fmt(v: float) -> str:
@@ -47,7 +45,8 @@ def _panel(title, times, series, labels, y0):
     mask = np.isfinite(finite)
     lo = float(finite[mask].min()) if mask.any() else 0.0
     hi = float(finite[mask].max()) if mask.any() else 1.0
-    if hi == lo:
+    # flat up to rounding (a few ulps apart) carries no distinct ticks
+    if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
         hi = lo + 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad

@@ -99,9 +99,13 @@ def test_sweep_keeps_results_when_one_scenario_fails(tmp_path, capsys):
     scenarios_dir.mkdir()
     small = replace(builtin_scenario("fig12-oneway"), horizon=5.0)
     write_scenario(small, scenarios_dir / "small.json")
-    # a 21-cycle: n = 21 exceeds the long-run solver's SUPPORT_LIMIT
+    # a 19-cycle beside a rotation block, which is not eventually
+    # nonnegative: the long-run solver refuses the network
+    f = np.zeros((21, 21))
+    f[:2, :2] = [[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]]
+    f[2:, 2:] = np.roll(np.eye(19), 1, axis=0)
     big = {
-        "name": "big", "n": 21, "F": np.roll(np.eye(21), 1, axis=0).ravel().tolist(),
+        "name": "big", "n": 21, "F": f.ravel().tolist(),
         "nu": 0.5, "alpha": 0.0, "s_total": 1.0, "c": 1.0, "q0": [1.0] * 21,
         "horizon": 5.0, "step": 0.01,
     }
@@ -115,6 +119,43 @@ def test_sweep_keeps_results_when_one_scenario_fails(tmp_path, capsys):
     assert set(index) == {"fig12-oneway", "big"}
     assert index["fig12-oneway"]["regime"] == "polynomial"
     assert index["big"]["error"].startswith("PreconditionError: ")
+    assert "eventually nonnegative" in index["big"]["error"]
+
+
+def _cycle(n):
+    return {
+        "name": f"cycle{n}", "n": n, "F": np.roll(np.eye(n), 1, axis=0).ravel().tolist(),
+        "nu": 0.5, "alpha": 0.0, "s_total": 1.0, "c": 1.0, "q0": [1.0] * n,
+        "horizon": 5.0, "step": 0.01,
+    }
+
+
+def test_longrun_command_without_stable_candidate(tmp_path, capsys):
+    path = tmp_path / "cycle7.json"
+    path.write_text(json.dumps(_cycle(7)))
+    assert main(["longrun", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "regime: exponential" in out
+    assert "no stable balanced-growth candidate" in out
+    assert "initial conditions" not in out
+
+
+def test_sweep_charts_a_21_cycle(tmp_path, capsys):
+    # from a uniform start every share stays 1/21 up to an ulp, a range
+    # below the chart's tick resolution; n = 21 is solved, not refused
+    scenarios_dir = tmp_path / "scenarios"
+    scenarios_dir.mkdir()
+    (scenarios_dir / "cycle21.json").write_text(json.dumps(_cycle(21)))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(scenarios_dir), "--out", str(out_dir)]) == 0
+    assert "cycle21: regime=exponential" in capsys.readouterr().out
+    svg = (out_dir / "cycle21.svg").read_text()
+    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    report = json.loads((out_dir / "cycle21.report.json").read_text())
+    assert report["prediction"]["candidates"] == []
+    assert report["prediction"]["initial_condition_dependent"] is False
+    text = (out_dir / "cycle21.report.txt").read_text()
+    assert "no stable balanced-growth candidate" in text
 
 
 def test_sweep_empty_dir_fails(tmp_path):

@@ -38,14 +38,26 @@ def recomputed_residual(f, sol, nu):
     return worst / max(z.max() * u.max(), 1e-300)
 
 
-def test_independent_technologies_top_self_spillover_wins():
-    sols = solve_support_system(SpilloverMatrix(np.diag([1.0, 2.0])), P0)
-    assert len(sols) == 1
-    sol = sols[0]
-    assert sol.support == {1}
-    np.testing.assert_allclose(sol.shares_inf, [0.0, 1.0])
+def test_independent_technologies_every_self_spillover_is_a_candidate():
+    # for nu in (0, 1) each positive self-spillover is a locally stable
+    # survivor: the share rule hands more scientists to whichever is ahead
+    from spillnet import simulate, validate_model
+
+    matrix = SpilloverMatrix(np.diag([1.0, 2.0]))
+    prediction = predict_regime(classify(matrix), matrix, P0)
+    assert [c.support for c in prediction.candidates] == [{0}, {1}]
     # single-survivor closed form g = S^nu * F_ii
-    assert sol.growth_rate == pytest.approx(2.0, abs=1e-12)
+    assert [c.growth_rate for c in prediction.candidates] == pytest.approx(
+        [1.0, 2.0], abs=1e-12
+    )
+    np.testing.assert_allclose(prediction.candidates[1].shares_inf, [0.0, 1.0])
+    assert prediction.initial_condition_dependent
+    assert prediction.survivors is None
+    # where a simulation lands depends on the start
+    for q0, winner, g in [([10.0, 1.0], 0, 1.0), ([1.0, 1.0], 1, 2.0)]:
+        traj = simulate(validate_model(matrix, P0, QualityState(0.0, q0)), 60.0)
+        assert traj.shares[-1][winner] == pytest.approx(1.0, abs=1e-12)
+        assert traj.sector_growth[-1] == pytest.approx(g, abs=1e-9)
 
 
 def test_independent_ties_give_multiple_candidates():
@@ -134,9 +146,47 @@ def test_unstable_interior_mixtures_rejected():
     }
 
 
-def test_support_size_precondition():
-    with pytest.raises(PreconditionError):
-        solve_support_system(SpilloverMatrix(np.eye(21)), P0)
+def test_large_network_returns_its_core_closures():
+    # 30 technologies: a 3-cycle, a 4-cycle and a self-spillover, each
+    # feeding a chain, plus 17 isolated ones; no size limit applies, and
+    # each core closure is a stable candidate of its own
+    f = np.zeros((30, 30))
+
+    def link(nodes, w, closed):
+        for a, b in zip(nodes, nodes[1:]):
+            f[b, a] = w
+        if closed:
+            f[nodes[0], nodes[-1]] = w
+
+    link([0, 1, 2], 1.0, True)
+    link([2, 3, 4], 0.5, False)
+    link([5, 6, 7, 8], 2.0, True)
+    link([8, 9], 1.0, False)
+    f[10, 10] = 1.5
+    link([10, 11, 12], 1.0, False)
+    matrix = SpilloverMatrix(f)
+    prediction = predict_regime(classify(matrix), matrix, P0)
+    assert [c.support for c in prediction.candidates] == [
+        {10, 11, 12},
+        {0, 1, 2, 3, 4},
+        {5, 6, 7, 8, 9},
+    ]
+    assert prediction.initial_condition_dependent
+    for sol in prediction.candidates:
+        assert sol.residual < 1e-9
+        assert np.all(sol.z_star[sorted(sol.support)] > 0)
+
+
+def test_cycle_without_stable_candidate_is_not_path_dependent():
+    # the equal-growth point of a 7-cycle repels, so no candidate is
+    # stable; that leaves the outcome open, it does not make it depend on
+    # the start
+    matrix = SpilloverMatrix(np.roll(np.eye(7), 1, axis=0))
+    prediction = predict_regime(classify(matrix), matrix, P0)
+    assert prediction.regime == "exponential"
+    assert prediction.candidates == ()
+    assert prediction.survivors is None
+    assert not prediction.initial_condition_dependent
 
 
 def test_large_n_core_reachability_pruning():
@@ -194,22 +244,82 @@ def random_structured_matrix(rng):
     return f
 
 
-def test_candidate_supports_match_brute_force_subsets():
-    from spillnet.longrun import _candidate_supports
+def equal_disjoint_blocks(rng):
+    """Two or three copies of one strongly connected block: exact ties."""
+    m = int(rng.integers(1, 4))
+    block = rng.uniform(0.2, 1.0, (m, m)) * (rng.random((m, m)) < 0.7)
+    block[np.arange(m), (np.arange(m) + 1) % m] += 0.5
+    return np.kron(np.eye(int(rng.integers(2, 4))), block)
+
+
+def self_loops_and_one_link(rng):
+    """k isolated self-spillovers, one of which also feeds a technology."""
+    k = int(rng.integers(2, 6))
+    f = np.zeros((k + 1, k + 1))
+    f[np.arange(k), np.arange(k)] = rng.uniform(1.0, 2.0, k)
+    f[k, rng.integers(0, k)] = rng.uniform(0.2, 1.0)
+    return f
+
+
+def two_sources_feeding_a_core(rng):
+    """Cores A and B (each a self-spillover or a 2-cycle) both feed core D."""
+    blocks = []
+    for _ in range(3):
+        if rng.random() < 0.5:
+            blocks.append(rng.uniform(0.5, 2.0, (1, 1)))
+        else:
+            a, b = rng.uniform(0.5, 2.0, 2)
+            blocks.append(np.array([[0.0, a], [b, 0.0]]))
+    start = np.cumsum([0] + [len(b) for b in blocks])
+    f = np.zeros((start[-1], start[-1]))
+    for block, lo in zip(blocks, start):
+        f[lo : lo + len(block), lo : lo + len(block)] = block
+    f[start[2], start[0]] = rng.uniform(0.1, 1.0)
+    f[start[2], start[1]] = rng.uniform(0.1, 1.0)
+    return f
+
+
+@pytest.mark.parametrize(
+    "family, count",
+    [
+        (random_structured_matrix, 18),
+        (equal_disjoint_blocks, 6),
+        (self_loops_and_one_link, 6),
+        (two_sources_feeding_a_core, 5),
+    ],
+)
+def test_solver_matches_brute_force_subset_oracle(family, count, monkeypatch):
+    # solving every admissible subset, unions of core closures included,
+    # accepts exactly the supports and rates the solver finds among single
+    # core closures
+    from spillnet import longrun
 
     rng = np.random.default_rng(7)
-    several = 0
-    for _ in range(150):
-        f = random_structured_matrix(rng)
-        expected = brute_force_supports(f)
-        got = _candidate_supports(f, classify(SpilloverMatrix(f)))
-        assert got == expected
-        several += len(expected) >= 2
-    assert several >= 20  # multi-candidate cases are where the order matters
+    unions = several = 0
+    for _ in range(count):
+        f = family(rng)
+        matrix = SpilloverMatrix(f)
+        report = classify(matrix)
+        if not (matrix.nonnegative or report.eventually_nonnegative[0]):
+            continue
+        subsets = brute_force_supports(f)
+        unions += len(subsets) > len(longrun._candidate_supports(f, report))
+        for nu in (0.05, 0.2, 0.5, 0.8, 0.95):
+            params = EconomyParams(nu=nu, alpha=0.0, s_total=1.0)
+            got = longrun._solve_support_system(matrix, params, report)
+            with monkeypatch.context() as patch:
+                patch.setattr(longrun, "_candidate_supports", lambda f, r: subsets)
+                expected = longrun._solve_support_system(matrix, params, report)
+            assert [(s.support, s.growth_rate) for s in got] == [
+                (s.support, s.growth_rate) for s in expected
+            ]
+            several += len(got) >= 2
+    # the oracle must see unions, and solutions must compete
+    assert unions >= 3 and several >= 5, (unions, several)
 
 
 def test_candidate_closure_block_is_induced_closure():
-    # no path leaves a candidate (a union of core closures), so the block of
+    # no path leaves a candidate (a core closure), so the block of
     # the full closure over its members, which the solver reads strong
     # connectivity from, equals the closure of the induced subgraph
     from spillnet.longrun import _candidate_supports
@@ -242,7 +352,7 @@ def test_candidate_supports_order_by_size_then_members_at_n16():
     f[13, 13] = 1.0  # core C, a self-spillover, feeds 14
     f[14, 13] = 1.0
     a, b, c = set(range(7)), {10, 11}, {13, 14}
-    expected = [b, c, b | c, a, a | b, a | c, a | b | c]
+    expected = [b, c, a]
     got = _candidate_supports(f, classify(SpilloverMatrix(f)))
     assert got == [frozenset(s) for s in expected]
 

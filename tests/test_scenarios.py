@@ -209,6 +209,21 @@ def test_chart_polylines_match_pointwise_scaling():
         assert line == expected
 
 
+def test_chart_range_below_float_resolution():
+    # a tick stepped by accumulation never moves past lo once the step is
+    # below lo's float resolution; a one-ulp range is drawn as a flat one
+    from spillnet.svgchart import _panel, _ticks
+
+    lo = 1 / 21
+    hi = np.nextafter(lo, 1.0)
+    assert 0 < len(_ticks(lo, hi)) <= 10
+    times = np.array([0.0, 1.0])
+    one_ulp = _panel("t", times, np.array([[lo, hi]]), ["a"], 0)
+    assert one_ulp == _panel("t", times, np.array([[lo, lo]]), ["a"], 0)
+    labels = [p for p in one_ulp if 'text-anchor="end"' in p]
+    assert len(labels) >= 3 and len(set(labels)) == len(labels)
+
+
 def test_run_circular_end_to_end(tmp_path):
     report = run(builtin_scenario("fig12-circular"), outdir=tmp_path)
     assert report.prediction.regime == "exponential"
