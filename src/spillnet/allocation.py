@@ -59,6 +59,18 @@ def shares_from_productivities(p: np.ndarray, nu: float | np.ndarray) -> np.ndar
     return (w / np.add.reduce(w)).T
 
 
+def _research_rates(p, nu, s_total):
+    """Shares s and research rates v = (s S)^nu * p from productivities p
+    with the technologies along the first axis: one vector, or a stack of
+    them in the columns, with nu and s_total one value or one per column.
+
+    The one step from productivities to quality growth, shared by the
+    integrator's field and the long-run fixed point.
+    """
+    s = shares_from_productivities(p.T, nu).T
+    return s, (s * s_total) ** nu * p
+
+
 def compute_shares(
     matrix: SpilloverMatrix, q: QualityState, params: EconomyParams
 ) -> AllocationShares:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .longrun import _solve_support_system, predict_regime
+from .longrun import predict_regime
 from .model import NumericalError, SpillnetError, ValidationError
 from .scenarios import (
     RunReport,
@@ -74,17 +74,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_longrun(args) -> int:
     scenario = load_scenario(args.file)
-    report = classify(scenario.matrix)
-    prediction = predict_regime(report, scenario.matrix, scenario.params)
+    prediction = predict_regime(classify(scenario.matrix), scenario.matrix, scenario.params)
     print(f"regime: {prediction.regime} (reason: {prediction.reason})")
-    solutions = (
-        list(prediction.candidates)
-        if prediction.candidates
-        else _solve_support_system(scenario.matrix, scenario.params, report)
-    )
-    if not solutions:
+    if not prediction.candidates:
         print("no stable balanced-growth candidate")
-    for sol in solutions:
+    for sol in prediction.candidates:
         zs = ", ".join(f"{v:.6g}" for v in sol.z_star)
         print(
             f"support {sorted(sol.support)}: g = {sol.growth_rate:.9g}, "

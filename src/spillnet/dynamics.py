@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import shares_from_productivities
+from .allocation import _research_rates
 from .model import (
     DegenerateEconomyError,
     IntegrationBlowupError,
@@ -131,8 +131,7 @@ def _rates(y, fz, nu, alpha, s_total):
         pmin = np.minimum.reduce(p)
         negative = pmin < -1e-12 * np.maximum(1.0, np.maximum.reduce(np.abs(p)))
         p = np.maximum(p, 0.0)
-    s = shares_from_productivities(p.T, nu).T
-    v = (s * s_total) ** nu * p
+    s, v = _research_rates(p, nu, s_total)
     total = np.add.reduce(v)
     ydot = np.empty_like(yt)
     ydot[:-1] = v - total * z

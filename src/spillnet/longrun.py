@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import shares_from_productivities
-from .dynamics import Trajectory, simulate
+from .allocation import _research_rates, shares_from_productivities
+from .dynamics import Trajectory, _rates, simulate
 from .model import (
     EconomyParams,
     Model,
@@ -29,7 +29,7 @@ from .model import (
     TransitionSearchExhaustedError,
     validate_model,
 )
-from .structure import StructureReport, classify, closure
+from .structure import StructureReport, _block_dominant, classify, closure
 
 _DAMPING = 0.5
 _FP_TOL = 1e-12
@@ -68,27 +68,20 @@ class TransitionDesign:
     trajectory: Trajectory
 
 
-def _support_field(z, f_sub, nu, s_total):
-    """zdot on the support simplex at alpha = 0 (clamped against tiny
-    negative productivities from finite-difference probes), along the last
-    axis: one state, or a stack of states in the rows of z."""
-    # products summed along the last axis round the same for one state as
-    # for a stack, where a matrix product need not: the central
-    # differences in _support_jacobian divide any such difference by 2e-7
-    p = np.maximum((z[..., None, :] * f_sub).sum(axis=-1), 0.0)
-    s = shares_from_productivities(p, nu)
-    v = (s * s_total) ** nu * p
-    return v - v.sum(axis=-1, keepdims=True) * z
-
-
 def _support_jacobian(z, f_sub, nu, s_total):
-    """Central-difference Jacobian of _support_field at z, all 2m probes
-    in one stacked call."""
+    """Central-difference Jacobian of zdot on the support simplex at
+    alpha = 0, all 2m probes in one stacked call of the integrator's
+    rates (which clamp tiny negative probe productivities to zero)."""
     m = z.size
     h = 1e-7
     probe = h * np.eye(m)
-    fields = _support_field(np.concatenate((z + probe, z - probe)), f_sub, nu, s_total)
-    return (fields[:m] - fields[m:]).T / (2 * h)
+    zs = np.concatenate((z + probe, z - probe))
+    # products summed along the last axis round the same for one state as
+    # for a stack, where a matrix product need not: the central
+    # differences divide any such difference by 2e-7
+    fz = (zs[:, None, :] * f_sub).sum(axis=-1)
+    ydot = _rates(np.concatenate((zs, np.zeros((2 * m, 1))), axis=1), fz, nu, 0.0, s_total)[0]
+    return (ydot[:m, :-1] - ydot[m:, :-1]).T / (2 * h)
 
 
 def _interior_unstable(z, f_sub, nu, s_total, scale) -> bool:
@@ -134,15 +127,14 @@ def _solve_on_support(f, support, nu, s_total):
         u = f_sub @ z
         if u.min() <= 0.0:
             return None
-        s = shares_from_productivities(u, nu)
-        w = (s * s_total) ** nu * u
+        w = _research_rates(u, nu, s_total)[1]
         delta = w / w.sum() - z
         if prev_delta is not None and float(delta @ prev_delta) < 0.0:
             lam = max(0.5 * lam, 1e-3)
         prev_delta = delta
         z_new = z + lam * delta
         if np.abs(z_new - z).max() < _FP_TOL:
-            s = shares_from_productivities(f_sub @ z_new, nu)
+            s = _research_rates(f_sub @ z_new, nu, s_total)[0]
             growth = np.linalg.eigvals(np.diag((s * s_total) ** nu) @ f_sub)
             return idx, f_sub, z_new, s, float(growth.real.max())
         z = z_new
@@ -270,15 +262,7 @@ def predict_regime(
     n = matrix.n
     adj = report.adjacency
 
-    exponential_core = None
-    for core in report.cores:
-        idx = sorted(core)
-        sub_dom = float(np.linalg.eigvals(f[np.ix_(idx, idx)]).real.max())
-        if sub_dom > 0:
-            exponential_core = core
-            break
-
-    if exponential_core is not None:
+    if any(_block_dominant(f, sorted(core)) > 0 for core in report.cores):
         candidates = tuple(_solve_support_system(matrix, params, report))
         # no stable candidate is not path dependence
         survivors = candidates[0].support if len(candidates) == 1 else None

@@ -140,6 +140,33 @@ def test_longrun_command_without_stable_candidate(tmp_path, capsys):
     assert "initial conditions" not in out
 
 
+def test_longrun_command_solves_once_and_prints_the_prediction(tmp_path, monkeypatch, capsys):
+    from spillnet import longrun
+
+    # one enumeration of candidate supports per solve, whoever calls it
+    candidates = longrun._candidate_supports
+    calls = []
+
+    def counting_candidates(*args):
+        calls.append(args)
+        return candidates(*args)
+
+    monkeypatch.setattr(longrun, "_candidate_supports", counting_candidates)
+    path = tmp_path / "cycle7.json"
+    path.write_text(json.dumps(_cycle(7)))
+    assert main(["longrun", str(path)]) == 0
+    assert len(calls) == 1
+    # not eventually nonnegative and no exponential core: nothing to solve,
+    # where the support solver would refuse the matrix
+    signed = dict(_cycle(2), F=[-1.0, 1.0, 1.0, -1.0])
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(signed))
+    capsys.readouterr()
+    assert main(["longrun", str(path)]) == 0
+    assert "no stable balanced-growth candidate" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_sweep_charts_a_21_cycle(tmp_path, capsys):
     # from a uniform start every share stays 1/21 up to an ulp, a range
     # below the chart's tick resolution; n = 21 is solved, not refused

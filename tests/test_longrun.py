@@ -279,15 +279,16 @@ def two_sources_feeding_a_core(rng):
     return f
 
 
-@pytest.mark.parametrize(
-    "family, count",
-    [
-        (random_structured_matrix, 18),
-        (equal_disjoint_blocks, 6),
-        (self_loops_and_one_link, 6),
-        (two_sources_feeding_a_core, 5),
-    ],
-)
+# matrix families and draws per family, each from default_rng(7)
+FAMILY_DRAWS = [
+    (random_structured_matrix, 18),
+    (equal_disjoint_blocks, 6),
+    (self_loops_and_one_link, 6),
+    (two_sources_feeding_a_core, 5),
+]
+
+
+@pytest.mark.parametrize("family, count", FAMILY_DRAWS)
 def test_solver_matches_brute_force_subset_oracle(family, count, monkeypatch):
     # solving every admissible subset, unions of core closures included,
     # accepts exactly the supports and rates the solver finds among single
@@ -316,6 +317,33 @@ def test_solver_matches_brute_force_subset_oracle(family, count, monkeypatch):
             several += len(got) >= 2
     # the oracle must see unions, and solutions must compete
     assert unions >= 3 and several >= 5, (unions, several)
+
+
+@pytest.mark.parametrize("family, count", FAMILY_DRAWS)
+def test_solver_fixed_points_are_rest_points_of_the_integrator_field(family, count):
+    # on its support at alpha = 0, each accepted z* stays put under the
+    # field the integrator steps, and log-output grows at the solver's g
+    from spillnet import dynamics, longrun
+
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(count):
+        f = family(rng)
+        matrix = SpilloverMatrix(f)
+        report = classify(matrix)
+        if not (matrix.nonnegative or report.eventually_nonnegative[0]):
+            continue
+        for nu in (0.05, 0.2, 0.5, 0.8, 0.95):
+            params = EconomyParams(nu=nu, alpha=0.0, s_total=1.0)
+            for sol in longrun._solve_support_system(matrix, params, report):
+                idx = sorted(sol.support)
+                y = np.append(sol.z_star[idx], 0.0)
+                ydot = dynamics._field(y, f[np.ix_(idx, idx)], nu, 0.0, 1.0)[0]
+                g = sol.growth_rate
+                assert np.abs(ydot[:-1]).max() <= 1e-10, (idx, nu)
+                assert abs(ydot[-1] - g) <= 1e-10 * max(1.0, abs(g)), (idx, nu)
+                checked += 1
+    assert checked >= count
 
 
 def test_candidate_closure_block_is_induced_closure():
@@ -546,7 +574,13 @@ def test_construct_transition_exhaustion_reports_best():
 
 
 def test_stacked_support_jacobian_matches_probe_loop(rng):
-    from spillnet.longrun import _support_field, _support_jacobian
+    from spillnet.allocation import _research_rates
+    from spillnet.longrun import _support_jacobian
+
+    def support_field(z, f_sub, nu):
+        # F z in the Jacobian's form, products summed along the last axis
+        v = _research_rates(np.maximum((z * f_sub).sum(axis=-1), 0.0), nu, 1.0)[1]
+        return v - v.sum() * z
 
     h = 1e-7
     for _ in range(100):
@@ -559,8 +593,8 @@ def test_stacked_support_jacobian_matches_probe_loop(rng):
         for k in range(m):
             e = np.zeros(m)
             e[k] = h
-            fp = _support_field(z + e, f_sub, nu, 1.0)
-            fm = _support_field(z - e, f_sub, nu, 1.0)
+            fp = support_field(z + e, f_sub, nu)
+            fm = support_field(z - e, f_sub, nu)
             looped[:, k] = (fp - fm) / (2 * h)
         np.testing.assert_allclose(
             _support_jacobian(z, f_sub, nu, 1.0), looped, rtol=0, atol=1e-12
