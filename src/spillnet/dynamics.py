@@ -392,17 +392,18 @@ def simulate_batch(
         h = np.where(last, t_end - t, h)
         hc = h[:, None]
         negative = np.zeros(rows.size, dtype=bool)
-        for i in range(1, 13):
-            # the last stage point is the 8th-order solution y_new
-            y_new = y + hc * (_A[i] @ k[:, :i])
-            k[:, i], _, _, neg = _field(y_new, f, nu, alpha, s_total)
-            if neg is not None:
-                negative |= neg
-        scale = TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-        e5 = np.add.reduce((_E5 @ k[:, :12] / scale) ** 2, axis=1)
-        e3 = np.add.reduce((_E3 @ k[:, :12] / scale) ** 2, axis=1)
-        denom = e5 + 0.01 * e3
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # overflowing stages give a non-finite estimate, which is handled below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in range(1, 13):
+                # the last stage point is the 8th-order solution y_new
+                y_new = y + hc * (_A[i] @ k[:, :i])
+                k[:, i], _, _, neg = _field(y_new, f, nu, alpha, s_total)
+                if neg is not None:
+                    negative |= neg
+            scale = TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+            e5 = np.add.reduce((_E5 @ k[:, :12] / scale) ** 2, axis=1)
+            e3 = np.add.reduce((_E3 @ k[:, :12] / scale) ** 2, axis=1)
+            denom = e5 + 0.01 * e3
             err = np.where(denom == 0.0, 0.0, h * e5 / np.sqrt(denom * dof))
         finite = np.isfinite(err) & np.isfinite(y_new).all(axis=1)
         accept = finite & (err <= 1.0) & ~negative

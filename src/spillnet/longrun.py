@@ -9,7 +9,10 @@ relative qualities z (normalized to sum 1 on the candidate support) solve
 with z strictly positive on the support and zero off it.  The autonomous
 term alpha is dropped here: along any growing path alpha / q vanishes, so
 the fixed point is alpha-free; alpha only affects transient selection,
-which simulation resolves.
+which simulation resolves.  Such a z is a rest point of the integrator's
+field, G(z) = v / sum(v) - z = 0 with v = (sS)^nu F z, growing at rate
+sum(v).  One pseudo-transient Newton solve of G per candidate finds it,
+and the Jacobian of G that drives the solve also decides its stability.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import _research_rates, shares_from_productivities
-from .dynamics import Trajectory, _rates, simulate
+from .dynamics import Trajectory, simulate
 from .model import (
     EconomyParams,
     Model,
@@ -31,9 +34,8 @@ from .model import (
 )
 from .structure import StructureReport, _block_dominant, classify, closure
 
-_DAMPING = 0.5
 _FP_TOL = 1e-12
-_FP_MAX_ITER = 100_000
+_MAX_STEPS = 500
 _RESIDUAL_TOL = 1e-9
 _POSITIVITY_FLOOR = 1e-6
 _STABILITY_TOL = 1e-6
@@ -68,76 +70,76 @@ class TransitionDesign:
     trajectory: Trajectory
 
 
-def _support_jacobian(z, f_sub, nu, s_total):
-    """Central-difference Jacobian of zdot on the support simplex at
-    alpha = 0, all 2m probes in one stacked call of the integrator's
-    rates (which clamp tiny negative probe productivities to zero)."""
-    m = z.size
-    h = 1e-7
-    probe = h * np.eye(m)
-    zs = np.concatenate((z + probe, z - probe))
-    # products summed along the last axis round the same for one state as
-    # for a stack, where a matrix product need not: the central
-    # differences divide any such difference by 2e-7
-    fz = (zs[:, None, :] * f_sub).sum(axis=-1)
-    ydot = _rates(np.concatenate((zs, np.zeros((2 * m, 1))), axis=1), fz, nu, 0.0, s_total)[0]
-    return (ydot[:m, :-1] - ydot[m:, :-1]).T / (2 * h)
-
-
-def _interior_unstable(z, f_sub, nu, s_total, scale) -> bool:
+def _interior_unstable(jac, growth) -> bool:
     """True when the equal-growth point repels within its own simplex.
 
-    The Jacobian of the share-weighted field is restricted to the tangent
-    space sum(dz) = 0; any eigenvalue with clearly positive real part
-    marks a saddle that the dynamics cannot settle on.
+    At a rest point zdot = sum(v) * G(z), so the field's Jacobian is the
+    growth rate times that of G.  It is restricted to the tangent space
+    sum(dz) = 0; any eigenvalue with clearly positive real part marks a
+    saddle that the dynamics cannot settle on.
     """
-    m = z.size
+    m = jac.shape[0]
     if m == 1:
         return False
-    jac = _support_jacobian(z, f_sub, nu, s_total)
     # orthonormal basis of the simplex tangent space
-    _, _, vt = np.linalg.svd(np.ones((1, m)))
-    basis = vt[1:]
-    reduced = basis @ jac @ basis.T
-    max_re = float(np.linalg.eigvals(reduced).real.max())
-    return max_re > _STABILITY_TOL * max(1.0, scale)
+    basis = np.linalg.svd(np.ones((1, m)))[2][1:]
+    reduced = basis @ (growth * jac) @ basis.T
+    return bool(np.linalg.eigvals(reduced).real.max() > _STABILITY_TOL * max(1.0, growth))
+
+
+def _rest_point_terms(z, f_sub, nu, s_total):
+    """G(z) = w - z with w = v / sum(v) at alpha = 0, its Jacobian
+    (I - w 1^T) diag(w / ((1-nu) u)) F - I (v is proportional to
+    u^(1/(1-nu))), the shares and sum(v); None unless u = F z > 0."""
+    u = f_sub @ z
+    if u.min() <= 0.0:
+        return None
+    s, v = _research_rates(u, nu, s_total)
+    total = v.sum()
+    w = v / total
+    d = (w / (u * (1.0 - nu)))[:, None] * f_sub
+    jac = d - np.outer(w, d.sum(axis=0)) - np.eye(z.size)
+    return w - z, jac, s, total
 
 
 def _solve_on_support(f, support, nu, s_total):
-    """Damped nonlinear power iteration z <- normalize(diag((sS)^nu) F z)
-    restricted to the support.
+    """Sorted members, F on them, the rest point z of G, its shares, its
+    growth rate sum(v) and the Jacobian of G there; None when u = F z is
+    not positive at the uniform start or the solve does not converge.
 
-    Returns the sorted members, F on them, the fixed point z, its shares s
-    and its growth rate, the rightmost eigenvalue of diag((sS)^nu) F_sub;
-    None when the iteration fails to converge or leaves the positive
-    region.
-
-    Damping starts at 0.5 and shrinks whenever the update direction
-    reverses: on bipartite cores with strong share concentration (large
-    1/(1-nu)) a fixed 0.5 settles into a stable 2-cycle instead of the
-    fixed point.
+    Pseudo-transient continuation (Kelley & Keyes 1998) from the uniform
+    point: each step solves (I/dt - J) dz = G, which keeps sum(z) = 1.
+    It is a linearly implicit Euler step of zdot = G, the integrator's
+    flow zdot = sum(v) G at another speed, so small dt heads for the rest
+    point the dynamics settle on and large dt is Newton's method.  dt
+    starts below 1/|J|_inf and grows as the residual falls; a step that
+    leaves z > 0, or whose residual misses its linear prediction dz/dt by
+    over half the current residual, is retried at half the dt.
     """
     idx = sorted(support)
     f_sub = f[np.ix_(idx, idx)]
-    m = len(idx)
-    z = np.full(m, 1.0 / m)
-    lam = _DAMPING
-    prev_delta = None
-    for _ in range(_FP_MAX_ITER):
-        u = f_sub @ z
-        if u.min() <= 0.0:
-            return None
-        w = _research_rates(u, nu, s_total)[1]
-        delta = w / w.sum() - z
-        if prev_delta is not None and float(delta @ prev_delta) < 0.0:
-            lam = max(0.5 * lam, 1e-3)
-        prev_delta = delta
-        z_new = z + lam * delta
-        if np.abs(z_new - z).max() < _FP_TOL:
-            s = _research_rates(f_sub @ z_new, nu, s_total)[0]
-            growth = np.linalg.eigvals(np.diag((s * s_total) ** nu) @ f_sub)
-            return idx, f_sub, z_new, s, float(growth.real.max())
-        z = z_new
+    z = np.full(len(idx), 1.0 / len(idx))
+    terms = _rest_point_terms(z, f_sub, nu, s_total)
+    if terms is None:
+        return None
+    resid, jac, s, total = terms
+    # 1/dt above |J|_inf, a bound on every eigenvalue of J
+    dt = 0.5 / np.abs(jac).sum(axis=1).max()
+    prev = np.abs(resid).max()
+    for _ in range(_MAX_STEPS):
+        norm = np.abs(resid).max()
+        if norm < _FP_TOL:
+            return idx, f_sub, z, s, float(total), jac
+        dt *= prev / norm
+        prev = norm
+        dz = np.linalg.solve(np.eye(z.size) / dt - jac, resid)
+        trial = z + dz
+        terms = None if trial.min() <= 0.0 else _rest_point_terms(trial, f_sub, nu, s_total)
+        if terms is None or np.abs(terms[0] - dz / dt).max() > 0.5 * norm:
+            dt *= 0.5
+            continue
+        z = trial
+        resid, jac, s, total = terms
     return None
 
 
@@ -185,11 +187,11 @@ def solve_support_system(
     asymptotic shares, and common growth rate.
 
     The candidates are the core closures (see _candidate_supports), so a
-    network with k cores costs at most k fixed-point solves.  A candidate
-    is accepted iff its fixed point converges, stays positive (at least
-    1e-6 on every member, or above 0 on a support whose nonzero spillovers
-    connect it strongly), satisfies the pairwise equations to within 1e-9
-    and does not repel within its own simplex.  Independent technologies
+    network with k cores costs at most k rest-point solves.  A candidate
+    is accepted iff its solve converges, its z is at least 1e-6 on every
+    member (any z > 0 on a support whose nonzero spillovers connect it
+    strongly), satisfies the pairwise equations to within 1e-9 and does
+    not repel within its own simplex.  Independent technologies
     are no exception: for nu in (0, 1) every positive self-spillover is a
     locally stable survivor, and which one wins depends on the start.
     """
@@ -212,24 +214,18 @@ def _solve_support_system(
         solved = _solve_on_support(f, support, params.nu, params.s_total)
         if solved is None:
             continue
-        idx, f_sub, z, s, growth = solved
-        # Perron-Frobenius gives z* > 0 on a strongly connected support, so
-        # any positive z is accepted there, however small its entries.  No
-        # path leaves a candidate (a core closure), so its block of the
-        # full closure is the closure of its induced subgraph.
-        strong = report.closure[np.ix_(idx, idx)].all()
-        floor = 0.0 if strong else _POSITIVITY_FLOOR
-        if z.min() <= 0.0 or z.min() < floor:
+        idx, f_sub, z, s, growth, jac = solved
+        # the solve keeps z > 0, which Perron-Frobenius asks of z* on a
+        # strongly connected support, however small the entries.  No path
+        # leaves a candidate (a core closure), so its block of the full
+        # closure is the closure of its induced subgraph.
+        if not report.closure[np.ix_(idx, idx)].all() and z.min() < _POSITIVITY_FLOOR:
             continue
         residual = _pairwise_residual(z, f_sub, params.nu)
-        if residual >= _RESIDUAL_TOL:
+        if residual >= _RESIDUAL_TOL or _interior_unstable(jac, growth):
             continue
-        if _interior_unstable(z, f_sub, params.nu, params.s_total, abs(growth)):
-            continue
-        z_full = np.zeros(n)
-        z_full[idx] = z
-        s_full = np.zeros(n)
-        s_full[idx] = s
+        z_full, s_full = np.zeros((2, n))
+        z_full[idx], s_full[idx] = z, s
         solutions.append(
             LongRunSolution(
                 support=support,
@@ -249,10 +245,11 @@ def predict_regime(
     """Long-run growth regime from the spillover structure alone.
 
     stagnating: no positive spillovers at all (qualities at most linear,
-    rates tending to zero).  linear/polynomial: edges but no cycle; the
-    label is polynomial when some technology receives a chained spillover
-    (a path through at least one intermediate).  exponential: some cycle
-    whose induced submatrix has a positive dominant eigenvalue; survivor
+    rates tending to zero).  linear/polynomial: edges but no growing cycle
+    (reason one-way if acyclic, else no-growing-cycle); the label is
+    polynomial when some technology receives a chained spillover (a path
+    through at least one intermediate).  exponential: some cycle whose
+    induced submatrix has a positive dominant eigenvalue; survivor
     candidates then come from the support solver, which restricts inputs
     to nonnegative or eventually nonnegative matrices.  The survivors are
     known when exactly one candidate is stable; two or more make the
@@ -292,7 +289,7 @@ def predict_regime(
     chained = (adj @ adj).any()
     return RegimePrediction(
         regime="polynomial" if chained else "linear",
-        reason="one-way",
+        reason="no-growing-cycle" if report.closure.diagonal().any() else "one-way",
         survivors=None,
         candidates=(),
         initial_condition_dependent=False,
@@ -338,7 +335,7 @@ def block_winner(
         solved = _solve_on_support(f, block, params.nu, params.s_total)
         if solved is None:
             continue
-        rate = solved[-1]
+        rate = solved[4]
         if rate > best_rate:
             best_rate = rate
             best_block = block

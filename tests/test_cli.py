@@ -167,6 +167,17 @@ def test_longrun_command_solves_once_and_prints_the_prediction(tmp_path, monkeyp
     assert len(calls) == 1
 
 
+def test_longrun_command_names_a_cycle_without_growth(tmp_path, capsys):
+    # strongly connected, but the block's dominant eigenvalue is 0: not
+    # one-way
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(dict(_cycle(2), F=[-1.0, 1.0, 1.0, -1.0])))
+    assert main(["longrun", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "regime: polynomial (reason: no-growing-cycle)" in out
+    assert "no stable balanced-growth candidate" in out
+
+
 def test_sweep_charts_a_21_cycle(tmp_path, capsys):
     # from a uniform start every share stays 1/21 up to an ulp, a range
     # below the chart's tick resolution; n = 21 is solved, not refused

@@ -487,6 +487,22 @@ def test_final_time_always_sampled(model_factory, t_end, step, sample_every):
     assert np.all(np.diff(traj.times) > 0)
 
 
+@pytest.mark.parametrize("name", ["fig4-transitions", "sec4-eventually-nn"])
+def test_one_sample_grid_emits_no_warning(name):
+    # a first step as long as the horizon overflows its trial stages; the
+    # step rejection deals with them, so no numpy warning reaches the caller
+    import warnings
+
+    scenario = builtin_scenario(name)
+    model = validate_model(scenario.matrix, scenario.params, scenario.q0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(model, scenario.horizon, step=scenario.horizon)
+    assert traj.times.tolist() == [0.0, scenario.horizon]
+    assert traj.rejected_steps > 0
+    reference = simulate(model, scenario.horizon)
+    np.testing.assert_allclose(traj.z[-1], reference.z[-1], rtol=0, atol=1e-9)
+
 
 def test_batch_pads_mixed_sizes_out_of_the_shares(model_factory):
     # with alpha = 1 an unmasked padding technology of the n = 2 rows would

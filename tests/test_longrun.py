@@ -135,6 +135,24 @@ def test_eigen_consistency_growth_rate_two_routes():
             np.testing.assert_allclose(g_direct, sol.growth_rate, rtol=1e-9)
 
 
+@pytest.mark.parametrize("nu", [0.8, 0.95])
+def test_bipartite_two_cycle_matches_closed_form_at_high_nu(nu):
+    # on F = [[0, a], [b, 0]] the rest point has z0 / z1 = (a/b)^(r/(r+1))
+    # with r = 1/(1-nu); full Newton steps from the uniform point swing
+    # between the two sides of this steep map instead of converging
+    rng = np.random.default_rng(3)
+    r = 1.0 / (1.0 - nu)
+    for _ in range(20):
+        a, b = rng.uniform(0.5, 2.0, 2)
+        ratio = (a / b) ** (r / (r + 1.0))
+        z = np.array([ratio, 1.0]) / (1.0 + ratio)
+        g = float((z**nu * np.array([a * z[1], b * z[0]])).sum())
+        params = EconomyParams(nu=nu, alpha=0.0, s_total=1.0)
+        (sol,) = solve_support_system(SpilloverMatrix([[0, a], [b, 0]]), params)
+        np.testing.assert_allclose(sol.z_star, z, rtol=0, atol=1e-9)
+        assert sol.growth_rate == pytest.approx(g, abs=1e-9)
+
+
 def test_unstable_interior_mixtures_rejected():
     # equal twin cycles admit a symmetric interior fixed point, but any
     # imbalance between blocks grows, so only the pure blocks are returned
@@ -281,7 +299,7 @@ def two_sources_feeding_a_core(rng):
 
 # matrix families and draws per family, each from default_rng(7)
 FAMILY_DRAWS = [
-    (random_structured_matrix, 18),
+    (random_structured_matrix, 20),
     (equal_disjoint_blocks, 6),
     (self_loops_and_one_link, 6),
     (two_sources_feeding_a_core, 5),
@@ -434,6 +452,16 @@ def test_regime_zero_matrix_stagnating():
     assert pred.survivors == frozenset(range(4))
 
 
+def test_regime_cycle_without_growth_is_not_one_way():
+    # a cycle whose block has no positive dominant eigenvalue is not a
+    # one-way structure; an acyclic one still is
+    pred = _regime([[-1, 1], [1, -1]])
+    assert pred.regime == "polynomial"
+    assert pred.reason == "no-growing-cycle"
+    assert not pred.candidates
+    assert _regime([[0, 0, 0], [1, 0, 0], [0, -1, 0]]).reason == "one-way"
+
+
 def test_regime_single_edge_linear():
     pred = _regime([[0, 0], [1, 0]])
     assert pred.regime == "linear"
@@ -573,29 +601,51 @@ def test_construct_transition_exhaustion_reports_best():
     assert err.value.best_candidate is not None
 
 
-def test_stacked_support_jacobian_matches_probe_loop(rng):
-    from spillnet.allocation import _research_rates
-    from spillnet.longrun import _support_jacobian
+def test_rest_point_jacobian_matches_central_differences(rng):
+    # G and its Jacobian against central differences of G written out from
+    # the formula: s = u^r / sum(u^r), v = (sS)^nu u, G = v / sum(v) - z
+    from spillnet.longrun import _rest_point_terms
 
-    def support_field(z, f_sub, nu):
-        # F z in the Jacobian's form, products summed along the last axis
-        v = _research_rates(np.maximum((z * f_sub).sum(axis=-1), 0.0), nu, 1.0)[1]
-        return v - v.sum() * z
+    def g_of(z, f, nu, s_total):
+        u = f @ z
+        s = u ** (1.0 / (1.0 - nu))
+        s = s / s.sum()
+        v = (s * s_total) ** nu * u
+        return v / v.sum() - z
 
-    h = 1e-7
+    h = 1e-6
     for _ in range(100):
         m = int(rng.integers(2, 13))
-        f_sub = rng.random((m, m)) * (rng.random((m, m)) < 0.6)
-        z = rng.random(m)
+        f = rng.random((m, m)) * (rng.random((m, m)) < 0.6)
+        # an entry in every row keeps each productivity positive
+        f[np.arange(m), rng.integers(0, m, m)] += 0.1
+        z = rng.random(m) + 0.05
         z /= z.sum()
-        nu = float(rng.choice([0.3, 0.5, 0.8]))
-        looped = np.empty((m, m))
-        for k in range(m):
-            e = np.zeros(m)
-            e[k] = h
-            fp = support_field(z + e, f_sub, nu)
-            fm = support_field(z - e, f_sub, nu)
-            looped[:, k] = (fp - fm) / (2 * h)
-        np.testing.assert_allclose(
-            _support_jacobian(z, f_sub, nu, 1.0), looped, rtol=0, atol=1e-12
+        nu = float(rng.choice([0.3, 0.5, 0.8, 0.95]))
+        s_total = float(rng.uniform(0.5, 2.0))
+        resid, jac, _, _ = _rest_point_terms(z, f, nu, s_total)
+        np.testing.assert_allclose(resid, g_of(z, f, nu, s_total), rtol=0, atol=1e-14)
+        differences = np.column_stack(
+            [
+                (g_of(z + h * e, f, nu, s_total) - g_of(z - h * e, f, nu, s_total)) / (2 * h)
+                for e in np.eye(m)
+            ]
         )
+        scale = max(1.0, np.abs(differences).max())
+        np.testing.assert_allclose(jac, differences, rtol=0, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("nu", [0.8, 0.95])
+def test_irreducible_core_at_high_nu_matches_simulation(nu):
+    # an irreducible core whose dynamics settle at high nu, where sharp
+    # share concentration makes the rest point hard to reach
+    from spillnet import simulate, validate_model
+
+    matrix = SpilloverMatrix([[0.319, 0.871, 0], [0, 0.374, 0.5], [1.409, 0, 0.493]])
+    params = EconomyParams(nu=nu, alpha=0.0, s_total=1.0)
+    prediction = predict_regime(classify(matrix), matrix, params)
+    assert [c.support for c in prediction.candidates] == [frozenset(range(3))]
+    (sol,) = prediction.candidates
+    traj = simulate(validate_model(matrix, params, QualityState(0.0, [1.0, 1.2, 0.9])), 200.0)
+    np.testing.assert_allclose(sol.z_star, traj.z[-1], rtol=0, atol=1e-7)
+    assert sol.growth_rate == pytest.approx(traj.sector_growth[-1], abs=1e-7)
