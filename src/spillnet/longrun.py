@@ -17,6 +17,7 @@ and the Jacobian of G that drives the solve also decides its stability.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ _MAX_STEPS = 500
 _RESIDUAL_TOL = 1e-9
 _POSITIVITY_FLOOR = 1e-6
 _STABILITY_TOL = 1e-6
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,8 @@ def _rest_point_terms(z, f_sub, nu, s_total):
 def _solve_on_support(f, support, nu, s_total):
     """Sorted members, F on them, the rest point z of G, its shares, its
     growth rate sum(v) and the Jacobian of G there; None when u = F z is
-    not positive at the uniform start or the solve does not converge.
+    not positive at the uniform start or the solve does not converge
+    within _MAX_STEPS steps, which is logged at DEBUG.
 
     Pseudo-transient continuation (Kelley & Keyes 1998) from the uniform
     point: each step solves (I/dt - J) dz = G, which keeps sum(z) = 1.
@@ -140,6 +144,10 @@ def _solve_on_support(f, support, nu, s_total):
             continue
         z = trial
         resid, jac, s, total = terms
+    _log.debug(
+        "rest-point solve on support %s stopped at the %d-step cap, residual %.3g",
+        idx, _MAX_STEPS, np.abs(resid).max(),
+    )
     return None
 
 

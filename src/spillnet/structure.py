@@ -9,8 +9,10 @@ is nonnegative or eventually nonnegative.
 
 `classify` takes one closure per matrix.  SCCs, cores and weak
 components are read off it, and above DENSE_SPECTRUM_LIMIT the
-dominant eigenvalue is taken block by block over the SCCs: a singleton
-gives its diagonal entry and any larger block a dense eigensolve.
+dominant eigenvalue is taken block by block over the SCCs: one max over
+the diagonal entries of all singletons, and a dense eigensolve for each
+larger block.  Eventual nonnegativity powers only the columns from which
+a walk can reach a negative edge, over a finite window of powers.
 """
 
 from __future__ import annotations
@@ -83,11 +85,16 @@ def strongly_connected_components(reach: np.ndarray) -> list[frozenset[int]]:
     reaches the other (or i == j).  Row i of the mutual reachability
     matrix is the component of i, so the distinct rows are the components;
     each is taken once, at the row of its smallest member, which also
-    orders them."""
+    orders them.  A row with one true entry is a singleton, built without
+    scanning the row."""
     mutual = reach & reach.T
     np.fill_diagonal(mutual, True)
+    sizes = mutual.sum(axis=1)
     firsts = np.flatnonzero(mutual.argmax(axis=1) == np.arange(len(mutual)))
-    return [frozenset(np.flatnonzero(mutual[i]).tolist()) for i in firsts]
+    return [
+        frozenset((i,)) if sizes[i] == 1 else frozenset(np.flatnonzero(mutual[i]).tolist())
+        for i in firsts.tolist()
+    ]
 
 
 def weak_components(reach: np.ndarray) -> list[frozenset[int]]:
@@ -115,24 +122,45 @@ def weak_components(reach: np.ndarray) -> list[frozenset[int]]:
 def is_eventually_nonnegative(
     matrix: SpilloverMatrix, k_max: int = 50, tol: float = 1e-9
 ) -> tuple[bool, int | None]:
-    """Smallest k <= k_max with F^k >= -tol elementwise, if one exists.
+    """(True, k0) when every power F^k with k0 <= k <= k_max is >= -tol
+    elementwise, k0 as small as possible; (False, None) when F^k_max has
+    an entry below -tol.
 
-    Powers are rescaled to unit max-norm after each multiplication, which
-    preserves the sign pattern while preventing overflow; `tol` therefore
-    applies on the max-norm-1 scale.
+    This checks a finite window of powers, not a proof that every power
+    beyond k_max stays nonnegative.  A power that is exactly 0 ends the
+    scan early, since every later power is 0 too.
+
+    Entry (i, j) of F^k is a sum over walks of length k from j to i, so it
+    can be negative only if such a walk uses a negative edge: j is the
+    tail of a negative edge or reaches one (sign-pattern reasoning after
+    Noutsos 2006).  Only those columns C are powered, as F^k[:, C] =
+    F @ F^(k-1)[:, C]; every other column of F^k is a sum of nonnegative
+    products.  The powered columns are rescaled to unit max-norm after each
+    multiplication, which keeps their signs and prevents overflow; `tol`
+    therefore applies relative to the max-norm of F^k[:, C], the entries
+    whose round-off comes from walks that end in C, not of the whole power.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     f = matrix.entries
-    power = f.copy()
+    nonzero = f != 0
+    cols = (f < 0).any(axis=0)
+    frontier = cols
+    while frontier.any():
+        frontier = nonzero[frontier].any(axis=0) & ~cols
+        cols |= frontier
+    if not cols.any():
+        return True, 1
+    power = f[:, cols]
+    start = None
     for k in range(1, k_max + 1):
         scale = np.abs(power).max()
-        if scale > 0:
-            power = power / scale
-        if power.min() >= -tol:
-            return True, k
-        power = power @ f
-    return False, None
+        if scale == 0:
+            return True, start or k
+        power = power / scale
+        start = (start or k) if power.min() >= -tol else None
+        power = f @ power
+    return start is not None, start
 
 
 def dominant_eigenvalue_power(
@@ -236,7 +264,11 @@ def classify(matrix: SpilloverMatrix) -> StructureReport:
         # F is block-triangular over its SCCs, so its spectrum is the
         # union of the spectra of its diagonal blocks F[b, b]
         spectrum = None
-        dominant = max(_block_dominant(f, sorted(c)) for c in sccs)
+        roots = [_block_dominant(f, sorted(c)) for c in sccs if len(c) >= 2]
+        singles = [i for c in sccs if len(c) == 1 for i in c]
+        if singles:
+            roots.append(float(f.diagonal()[singles].max()))
+        dominant = max(roots)
 
     return StructureReport(
         adjacency=adj,

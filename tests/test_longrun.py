@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -427,6 +428,16 @@ def test_not_eventually_nonnegative_rejected():
         solve_support_system(SpilloverMatrix(rot), P0)
 
 
+@pytest.mark.parametrize(
+    "rows", [[[0, 1], [-1, 0]], [[1, 1], [-1, 1]]], ids=["quarter-turn", "identity-plus-turn"]
+)
+def test_periodically_negative_powers_rejected(rows):
+    # some power is nonnegative (F^4 = I, and (I + R)^8 = 16 I), but three
+    # in every four, or seven in every eight, have a negative entry
+    with pytest.raises(PreconditionError):
+        solve_support_system(SpilloverMatrix(rows), P0)
+
+
 def _regime(rows, params=P0):
     m = SpilloverMatrix(np.array(rows, dtype=float))
     return predict_regime(classify(m), m, params)
@@ -649,3 +660,18 @@ def test_irreducible_core_at_high_nu_matches_simulation(nu):
     traj = simulate(validate_model(matrix, params, QualityState(0.0, [1.0, 1.2, 0.9])), 200.0)
     np.testing.assert_allclose(sol.z_star, traj.z[-1], rtol=0, atol=1e-7)
     assert sol.growth_rate == pytest.approx(traj.sector_growth[-1], abs=1e-7)
+
+
+def test_step_cap_logged_at_debug_only(caplog):
+    # at nu = 0.99 the stall matrix's dynamics do not settle and the solve
+    # runs out of steps
+    matrix = SpilloverMatrix([[0.319, 0.871, 0], [0, 0.374, 0.5], [1.409, 0, 0.493]])
+    params = EconomyParams(nu=0.99, alpha=0.0, s_total=1.0)
+    with caplog.at_level(logging.INFO, logger="spillnet.longrun"):
+        assert solve_support_system(matrix, params) == []
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="spillnet.longrun"):
+        assert solve_support_system(matrix, params) == []
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert "[0, 1, 2]" in record.getMessage() and "residual" in record.getMessage()

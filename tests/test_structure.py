@@ -454,3 +454,125 @@ def test_long_weighted_cycle_dominant_eigenvalue_is_geometric_mean(n, monkeypatc
     assert r.dominant_eigenvalue == pytest.approx(
         np.exp(np.log(w).mean()), rel=1e-12
     )
+
+
+def power_window_oracle(f, k_max=50, tol=1e-9):
+    """Independent oracle for is_eventually_nonnegative: every whole power
+    F^k from np.linalg.matrix_power, judged on its own max-norm.  Returns
+    the start of the final unbroken run of powers >= -tol up to k_max
+    (None when F^k_max is not in one) and whether any power's min/scale
+    lies within a decade of -tol, where the package's column-restricted
+    scale may judge it the other way."""
+    start, near = None, False
+    for k in range(1, k_max + 1):
+        power = np.linalg.matrix_power(f, k)
+        scale = np.abs(power).max()
+        ratio = power.min() / scale if scale > 0 else 0.0
+        near |= tol / 10 <= -ratio <= 10 * tol
+        start = (start or k) if ratio >= -tol else None
+    return start, near
+
+
+def signed_draws(rng, count):
+    """Random signed matrices with n <= 8: sparse mostly-positive ones with
+    a few negative entries, fully signed ones, and reducible
+    block-triangular ones where a nonnegative block feeds a signed block
+    or a signed block feeds a nonnegative one."""
+    for k in range(count):
+        kind = k % 4
+        n = int(rng.integers(1 if kind < 2 else 3, 9))
+        if kind == 0:
+            f = rng.uniform(0, 1, (n, n)) * (rng.uniform(0, 1, (n, n)) < 0.6)
+            f[rng.uniform(0, 1, (n, n)) < 0.15] *= -rng.uniform(0.01, 1)
+        elif kind == 1:
+            f = rng.uniform(-1, 1, (n, n)) * (rng.uniform(0, 1, (n, n)) < 0.5)
+        else:
+            m = int(rng.integers(1, n - 1))
+            positive = rng.uniform(0, 2, (m, m)) * (rng.uniform(0, 1, (m, m)) < 0.7)
+            signed = rng.uniform(0, 1, (n - m, n - m)) * (
+                rng.uniform(0, 1, (n - m, n - m)) < 0.7
+            )
+            signed[0, -1] = -rng.uniform(0.01, 1)
+            signed *= rng.uniform(0.5, 4)
+            blocks = [positive, signed] if kind == 2 else [signed, positive]
+            f = np.zeros((n, n))
+            start = 0
+            for b in blocks:
+                size = len(b)
+                f[start : start + size, start : start + size] = b
+                feed = rng.uniform(0, 1, (size, start)) < 0.4
+                f[start : start + size, :start] = rng.uniform(0, 1, (size, start)) * feed
+                start += size
+            label = rng.permutation(n)
+            f = f[np.ix_(label, label)]
+        yield f
+
+
+def test_eventually_nonnegative_matches_whole_power_oracle(rng):
+    fixed = [
+        np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 1.0, 2.0]]),
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        np.array([[1.0, 1.0], [-1.0, 1.0]]),
+        np.array([[0.0, -1.0], [0.0, 0.0]]),
+        SEC4,
+    ]
+    draws = [*fixed, *signed_draws(rng, 200)]
+    outcomes = []
+    for f in draws:
+        start, near = power_window_oracle(f)
+        if near:
+            # a negative part that decays against a growing one crosses the
+            # tolerance; where it does, the whole power's scale and that of
+            # its restricted columns can disagree by a power or two
+            continue
+        got = is_eventually_nonnegative(SpilloverMatrix(f))
+        assert got == (start is not None, start), f
+        outcomes.append(got)
+    assert len(draws) - len(outcomes) < 0.1 * len(draws)
+    # the draws exercise both answers and witnesses beyond the first power
+    assert {flag for flag, _ in outcomes} == {True, False}
+    assert sum(k is not None and k > 1 for _, k in outcomes) >= 10
+
+
+def test_classify_at_scale_with_signed_chain(rng, monkeypatch):
+    # a weighted layered digraph beside a 12-node chain entered through one
+    # negative spillover: column-restricted powers see only the chain's
+    # head, whose walk leaves the chain after 11 steps
+    refuse_power_iteration(monkeypatch)
+    m, tail = 288, 12
+    f = np.zeros((m + tail, m + tail))
+    f[:m, :m] = layered_graph(m, rng) * rng.uniform(0.1, 1.0, (m, m))
+    chain = np.arange(m, m + tail)
+    f[chain[1], chain[0]] = -1.0
+    f[chain[2:], chain[1:-1]] = 1.0
+    label = rng.permutation(m + tail)
+    f = f[np.ix_(label, label)]
+
+    r = classify(SpilloverMatrix(f))
+    reach = brute_force_reachability(f != 0)
+    np.testing.assert_array_equal(r.closure, reach)
+    mutual = (reach & reach.T) | np.eye(len(f), dtype=bool)
+    sccs = {frozenset(np.flatnonzero(row).tolist()) for row in mutual}
+    found = strongly_connected_components(r.closure)
+    assert set(found) == sccs and [min(c) for c in found] == sorted(map(min, sccs))
+    loops = {frozenset({int(i)}) for i in np.flatnonzero(f.diagonal() > 0)}
+    assert set(r.cores) == {c for c in sccs if len(c) >= 2} | loops
+    assert r.dominant_eigenvalue == pytest.approx(
+        np.linalg.eigvals(f).real.max(), rel=1e-9, abs=1e-12
+    )
+    assert r.eventually_nonnegative == (True, 12)
+
+
+@pytest.mark.parametrize("diagonal", ["zero", "negative"])
+def test_all_singleton_dag_dominant_is_max_diagonal(diagonal, rng):
+    n = 96
+    f = np.tril(rng.uniform(0.1, 1.0, (n, n)) * (rng.uniform(0, 1, (n, n)) < 0.05), k=-1)
+    if diagonal == "negative":
+        np.fill_diagonal(f, -rng.uniform(0.1, 3.0, n))
+    label = rng.permutation(n)
+    f = f[np.ix_(label, label)]
+    r = classify(SpilloverMatrix(f))
+    assert r.spectrum is None and r.cores == ()
+    assert strongly_connected_components(r.closure) == [frozenset({i}) for i in range(n)]
+    # a triangular matrix's eigenvalues are its diagonal entries
+    assert r.dominant_eigenvalue == f.diagonal().max()
