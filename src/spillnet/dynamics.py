@@ -554,15 +554,7 @@ def growth_series(traj: Trajectory) -> GrowthSeries:
 def leader_set(shares: np.ndarray, theta: float) -> frozenset[int]:
     """Minimal set of technologies whose shares, sorted descending, sum to
     at least theta.  Ties broken by index for determinism."""
-    order = np.lexsort((np.arange(shares.size), -shares))
-    total = 0.0
-    chosen = []
-    for i in order:
-        chosen.append(int(i))
-        total += shares[i]
-        if total >= theta:
-            break
-    return frozenset(chosen)
+    return frozenset(np.flatnonzero(_leader_sets(shares[None, :], theta)[0]).tolist())
 
 
 def _leader_sets(shares: np.ndarray, theta: float) -> np.ndarray:

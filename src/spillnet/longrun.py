@@ -37,7 +37,6 @@ from .structure import StructureReport, _block_dominant, classify, closure
 
 _FP_TOL = 1e-12
 _MAX_STEPS = 500
-_RESIDUAL_TOL = 1e-9
 _POSITIVITY_FLOOR = 1e-6
 _STABILITY_TOL = 1e-6
 
@@ -46,7 +45,8 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class LongRunSolution:
-    """One candidate surviving set with its relative qualities and rate."""
+    """One candidate surviving set with its relative qualities and rate;
+    residual is max|G| at z*, below 1e-12 by construction."""
 
     support: frozenset[int]
     stagnant: frozenset[int]
@@ -73,21 +73,45 @@ class TransitionDesign:
     trajectory: Trajectory
 
 
-def _interior_unstable(jac, growth) -> bool:
-    """True when the equal-growth point repels within its own simplex.
+@dataclass(frozen=True)
+class _RestPoint:
+    """Where one rest-point solve on a support stopped, and what it found.
+
+    members are the sorted support, z its point, shares and growth the
+    scientist shares and g = sum(v) there, residual max|G| there (below
+    _FP_TOL once converged).  verdict is "stable", "saddle" or "unstable
+    focus" for a converged point, else "not converged" (the step cap ran
+    out) or "non-positive" (F z has an entry <= 0 at the uniform start,
+    where z is that start and the other numbers are NaN).
+    """
+
+    members: list[int]
+    z: np.ndarray
+    shares: np.ndarray
+    growth: float
+    residual: float
+    verdict: str
+
+
+def _verdict(jac, growth) -> str:
+    """Stability of a converged equal-growth point within its own simplex.
 
     At a rest point zdot = sum(v) * G(z), so the field's Jacobian is the
     growth rate times that of G.  It is restricted to the tangent space
-    sum(dz) = 0; any eigenvalue with clearly positive real part marks a
-    saddle that the dynamics cannot settle on.
+    sum(dz) = 0; a rightmost eigenvalue with clearly positive real part
+    repels, and the point is a saddle when it is real and an unstable
+    focus when it is complex.
     """
     m = jac.shape[0]
     if m == 1:
-        return False
+        return "stable"
     # orthonormal basis of the simplex tangent space
     basis = np.linalg.svd(np.ones((1, m)))[2][1:]
-    reduced = basis @ (growth * jac) @ basis.T
-    return bool(np.linalg.eigvals(reduced).real.max() > _STABILITY_TOL * max(1.0, growth))
+    eig = np.linalg.eigvals(basis @ (growth * jac) @ basis.T)
+    rightmost = eig[eig.real.argmax()]
+    if rightmost.real <= _STABILITY_TOL * max(1.0, growth):
+        return "stable"
+    return "saddle" if rightmost.imag == 0 else "unstable focus"
 
 
 def _rest_point_terms(z, f_sub, nu, s_total):
@@ -105,11 +129,10 @@ def _rest_point_terms(z, f_sub, nu, s_total):
     return w - z, jac, s, total
 
 
-def _solve_on_support(f, support, nu, s_total):
-    """Sorted members, F on them, the rest point z of G, its shares, its
-    growth rate sum(v) and the Jacobian of G there; None when u = F z is
-    not positive at the uniform start or the solve does not converge
-    within _MAX_STEPS steps, which is logged at DEBUG.
+def _solve_on_support(f, support, nu, s_total) -> _RestPoint:
+    """The rest point of G on a support, solved from the uniform point,
+    with its verdict; a solve that spends its _MAX_STEPS steps is logged
+    at DEBUG.
 
     Pseudo-transient continuation (Kelley & Keyes 1998) from the uniform
     point: each step solves (I/dt - J) dz = G, which keeps sum(z) = 1.
@@ -125,7 +148,7 @@ def _solve_on_support(f, support, nu, s_total):
     z = np.full(len(idx), 1.0 / len(idx))
     terms = _rest_point_terms(z, f_sub, nu, s_total)
     if terms is None:
-        return None
+        return _RestPoint(idx, z, np.full(z.size, np.nan), np.nan, np.nan, "non-positive")
     resid, jac, s, total = terms
     # 1/dt above |J|_inf, a bound on every eigenvalue of J
     dt = 0.5 / np.abs(jac).sum(axis=1).max()
@@ -133,7 +156,8 @@ def _solve_on_support(f, support, nu, s_total):
     for _ in range(_MAX_STEPS):
         norm = np.abs(resid).max()
         if norm < _FP_TOL:
-            return idx, f_sub, z, s, float(total), jac
+            growth = float(total)
+            return _RestPoint(idx, z, s, growth, float(norm), _verdict(jac, growth))
         dt *= prev / norm
         prev = norm
         dz = np.linalg.solve(np.eye(z.size) / dt - jac, resid)
@@ -144,19 +168,12 @@ def _solve_on_support(f, support, nu, s_total):
             continue
         z = trial
         resid, jac, s, total = terms
+    norm = float(np.abs(resid).max())
     _log.debug(
         "rest-point solve on support %s stopped at the %d-step cap, residual %.3g",
-        idx, _MAX_STEPS, np.abs(resid).max(),
+        idx, _MAX_STEPS, norm,
     )
-    return None
-
-
-def _pairwise_residual(z, f_sub, nu) -> float:
-    u = (f_sub @ z) ** (1.0 / (1.0 - nu))
-    # violation of z_j u_i = z_i u_j, scale-free in both z and u
-    cross = np.abs(np.outer(u, z) - np.outer(z, u))
-    denom = max(z.max() * u.max(), np.finfo(float).tiny)
-    return float(cross.max() / denom)
+    return _RestPoint(idx, z, s, float(total), norm, "not converged")
 
 
 def _candidate_supports(f: np.ndarray, report: StructureReport) -> list[frozenset[int]]:
@@ -196,10 +213,10 @@ def solve_support_system(
 
     The candidates are the core closures (see _candidate_supports), so a
     network with k cores costs at most k rest-point solves.  A candidate
-    is accepted iff its solve converges, its z is at least 1e-6 on every
-    member (any z > 0 on a support whose nonzero spillovers connect it
-    strongly), satisfies the pairwise equations to within 1e-9 and does
-    not repel within its own simplex.  Independent technologies
+    is accepted iff its solve converges to a point that does not repel
+    within its own simplex (verdict "stable") whose z is at least 1e-6 on
+    every member (any z > 0 on a support whose nonzero spillovers connect
+    it strongly).  Independent technologies
     are no exception: for nu in (0, 1) every positive self-spillover is a
     locally stable survivor, and which one wins depends on the start.
     """
@@ -219,29 +236,26 @@ def _solve_support_system(
     n = matrix.n
     solutions = []
     for support in _candidate_supports(f, report):
-        solved = _solve_on_support(f, support, params.nu, params.s_total)
-        if solved is None:
+        point = _solve_on_support(f, support, params.nu, params.s_total)
+        if point.verdict != "stable":
             continue
-        idx, f_sub, z, s, growth, jac = solved
+        idx = point.members
         # the solve keeps z > 0, which Perron-Frobenius asks of z* on a
         # strongly connected support, however small the entries.  No path
         # leaves a candidate (a core closure), so its block of the full
         # closure is the closure of its induced subgraph.
-        if not report.closure[np.ix_(idx, idx)].all() and z.min() < _POSITIVITY_FLOOR:
-            continue
-        residual = _pairwise_residual(z, f_sub, params.nu)
-        if residual >= _RESIDUAL_TOL or _interior_unstable(jac, growth):
+        if not report.closure[np.ix_(idx, idx)].all() and point.z.min() < _POSITIVITY_FLOOR:
             continue
         z_full, s_full = np.zeros((2, n))
-        z_full[idx], s_full[idx] = z, s
+        z_full[idx], s_full[idx] = point.z, point.shares
         solutions.append(
             LongRunSolution(
                 support=support,
                 stagnant=frozenset(range(n)) - support,
                 z_star=z_full,
                 shares_inf=s_full,
-                growth_rate=growth,
-                residual=residual,
+                growth_rate=point.growth,
+                residual=point.residual,
             )
         )
     return solutions
@@ -337,19 +351,12 @@ def block_winner(
             if leader in block:
                 return block
 
-    best_block = None
-    best_rate = -np.inf
-    for block in blocks:
-        solved = _solve_on_support(f, block, params.nu, params.s_total)
-        if solved is None:
-            continue
-        rate = solved[4]
-        if rate > best_rate:
-            best_rate = rate
-            best_block = block
-    if best_block is None:
+    points = [_solve_on_support(f, block, params.nu, params.s_total) for block in blocks]
+    converged = [p for p in points if p.verdict not in ("not converged", "non-positive")]
+    if not converged:
         raise PreconditionError("no block admits a growing allocation")
-    return best_block
+    # max keeps the first of equal rates
+    return frozenset(max(converged, key=lambda p: p.growth).members)
 
 
 def _validate_chain(f: np.ndarray, clusters: list[list[int]]) -> None:

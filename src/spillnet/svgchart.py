@@ -7,6 +7,7 @@ emit figures in headless environments and the files diff cleanly.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -81,20 +82,18 @@ def _panel(title, times, series, labels, y0):
                 f'<text x="{x:.1f}" y="{y0 + _H - _MB + 14}" font-size="10" '
                 f'text-anchor="middle">{_fmt(v)}</text>'
             )
-    # sx and sy applied to whole arrays: every polyline point at once
+    # sx and sy applied to whole arrays; each x is formatted once per
+    # panel into a "x,%.2f" template that one % per polyline fills with y
     rows = np.atleast_2d(finite)
-    xs = sx(np.asarray(times, dtype=float))
+    xs = [f"{x:.2f},%.2f" for x in sx(np.asarray(times, dtype=float)).tolist()]
     for k, (lab, values, y_row) in enumerate(zip(labels, rows, sy(rows))):
         color = _PALETTE[k % len(_PALETTE)]
         keep = np.isfinite(values)
-        pts = [
-            f"{x:.2f},{y:.2f}"
-            for x, y in zip(xs[keep].tolist(), y_row[keep].tolist())
-        ]
-        if pts:
+        if keep.any():
+            template = " ".join(compress(xs, keep.tolist()))
             parts.append(
-                f'<polyline points="{" ".join(pts)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
+                f'<polyline points="{template % tuple(y_row[keep].tolist())}" '
+                f'fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
         ly = y0 + _MT + 14 * k
         parts.append(

@@ -93,6 +93,15 @@ def test_sweep_merges_by_name(tmp_path, capsys):
     index = json.loads((out_dir / "sweep.json").read_text())
     assert set(index) == {"fig12-oneway", "homogeneous-baseline"}
 
+    # strict JSON: NaN and Infinity are not JSON, so none may reach a report
+    def refuse(constant):
+        raise ValueError(f"{constant} in a report")
+
+    reports = sorted(out_dir.rglob("*.report.json"))
+    assert len(reports) == 2
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=refuse)
+
 
 def test_sweep_keeps_results_when_one_scenario_fails(tmp_path, capsys):
     scenarios_dir = tmp_path / "scenarios"

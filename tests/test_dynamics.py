@@ -569,6 +569,19 @@ def test_batch_isolates_failing_rows(model_factory, monkeypatch):
         _assert_same_trajectory(traj, reference)
 
 
+def sorted_leader_set(shares, theta):
+    """Shares sorted descending, ties by index, taken one at a time until
+    their running sum reaches theta."""
+    total = 0.0
+    chosen = []
+    for i in np.lexsort((np.arange(shares.size), -shares)):
+        chosen.append(int(i))
+        total += shares[i]
+        if total >= theta:
+            break
+    return frozenset(chosen)
+
+
 def test_vectorised_leader_sets_match_leader_set_with_ties(rng):
     from spillnet.dynamics import _leader_sets
 
@@ -581,4 +594,6 @@ def test_vectorised_leader_sets_match_leader_set_with_ties(rng):
         for theta in (0.1, 0.5, 0.6, float(rng.uniform(0.01, 0.99))):
             members = _leader_sets(shares, theta)
             for row, member in zip(shares, members):
-                assert frozenset(np.flatnonzero(member).tolist()) == leader_set(row, theta)
+                expected = sorted_leader_set(row, theta)
+                assert frozenset(np.flatnonzero(member).tolist()) == expected
+                assert leader_set(row, theta) == expected

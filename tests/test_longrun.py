@@ -25,6 +25,8 @@ ONEWAY = [[0, 0, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0], [1, 1, 0, 0]]
 CIRCULAR = [[0, 0, 0, 1], [1, 0, 1, 0], [1, 0, 0, 0], [1, 1, 0, 0]]
 FIG4 = [[3 / 4, 0, 0, 1], [1 / 2, 1 / 2, 0, 0], [0, 1 / 3, 0, 1], [0, 0, 3, 0]]
 TWO_CYCLES_1V2 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
+STALL = [[0.319, 0.871, 0], [0, 0.374, 0.5], [1.409, 0, 0.493]]
+TWO_EQUAL_CYCLES = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
 
 def recomputed_residual(f, sol, nu):
@@ -675,3 +677,47 @@ def test_step_cap_logged_at_debug_only(caplog):
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
     assert "[0, 1, 2]" in record.getMessage() and "residual" in record.getMessage()
+
+
+@pytest.mark.parametrize("nu", [0.5, 0.95])
+def test_scaled_matrix_keeps_its_rest_point(nu):
+    # the rest point is scale-free in F and g is linear in it; raising the
+    # unnormalised productivities to 1/(1-nu) overflowed at 1e16 and
+    # underflowed at 1e-20
+    f = np.array([[0.3, 1.2, 0], [0.5, 0.2, 0.9], [1.0, 0, 0.4]])
+    params = EconomyParams(nu=nu, alpha=0.0, s_total=1.0)
+    (base,) = solve_support_system(SpilloverMatrix(f), params)
+    for scale in (1.0, 1e16, 1e-20):
+        (sol,) = solve_support_system(SpilloverMatrix(scale * f), params)
+        assert sol.support == base.support == frozenset(range(3))
+        assert sol.growth_rate == pytest.approx(scale * base.growth_rate, rel=1e-12)
+        np.testing.assert_allclose(sol.z_star, base.z_star, rtol=0, atol=1e-12)
+        assert np.isfinite(sol.residual) and sol.residual < 1e-9
+
+
+@pytest.mark.parametrize(
+    "rows, support, nu, verdict",
+    [
+        (STALL, {0, 1, 2}, 0.95, "stable"),
+        # past the Hopf point near nu = 0.962 the rest point is a focus
+        (STALL, {0, 1, 2}, 0.97, "unstable focus"),
+        (STALL, {0, 1, 2}, 0.99, "not converged"),
+        # the equal-growth point between two equal 2-cycles
+        (TWO_EQUAL_CYCLES, {0, 1, 2, 3}, 0.2, "saddle"),
+        (TWO_EQUAL_CYCLES, {0, 1, 2, 3}, 0.5, "saddle"),
+        (TWO_EQUAL_CYCLES, {0, 1, 2, 3}, 0.8, "saddle"),
+        (np.zeros((2, 2)), {0, 1}, 0.5, "non-positive"),
+    ],
+)
+def test_rest_point_verdicts(rows, support, nu, verdict):
+    from spillnet.longrun import _solve_on_support
+
+    point = _solve_on_support(np.array(rows, dtype=float), support, nu, 1.0)
+    assert point.members == sorted(support)
+    assert point.verdict == verdict
+    if verdict in ("stable", "saddle", "unstable focus"):
+        assert point.residual < 1e-12
+    if verdict == "saddle":
+        np.testing.assert_array_equal(point.z, np.full(4, 0.25))
+    if verdict == "unstable focus":
+        assert point.growth == pytest.approx(0.406386, abs=1e-6)

@@ -192,7 +192,9 @@ def test_chart_polylines_match_pointwise_scaling():
     traj = simulate(validate_model(s.matrix, s.params, s.q0), 20.0)
     series = traj.tech_growth.T.copy()
     series[1, ::7] = np.nan  # gaps are left out of the line
-    parts = _panel("growth", traj.times, series, ["a", "b", "c", "d"], _H)
+    # a series with no finite value draws no line at all
+    series = np.vstack([series, np.full(traj.times.size, np.nan)])
+    parts = _panel("growth", traj.times, series, ["a", "b", "c", "d", "e"], _H)
     finite = series[np.isfinite(series)]
     lo, hi = finite.min(), finite.max()
     lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
