@@ -1,5 +1,8 @@
-"""Long-run analysis: surviving technology sets, growth regimes, block
-competition, and constructed technology transitions.
+"""Long-run analysis: surviving technology sets, growth regimes and block
+competition, from the spillover structure alone (no integration).
+
+Technology transitions are detected in simulated runs
+(dynamics.detect_transitions); spillnet does not construct them.
 
 A set of technologies can sustain common exponential growth only when the
 relative qualities z (normalized to sum 1 on the candidate support) solve
@@ -22,18 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _research_rates, shares_from_productivities
-from .dynamics import Trajectory, simulate
-from .model import (
-    EconomyParams,
-    Model,
-    PreconditionError,
-    QualityState,
-    SpilloverMatrix,
-    TransitionSearchExhaustedError,
-    validate_model,
-)
-from .structure import StructureReport, _block_dominant, classify, closure
+from .allocation import _research_rates
+from .model import EconomyParams, PreconditionError, QualityState, SpilloverMatrix
+from .structure import StructureReport, _block_dominant, classify
 
 _FP_TOL = 1e-12
 _MAX_STEPS = 500
@@ -66,14 +60,6 @@ class RegimePrediction:
 
 
 @dataclass(frozen=True)
-class TransitionDesign:
-    phi1: float
-    phi2: float
-    model: Model
-    trajectory: Trajectory
-
-
-@dataclass(frozen=True)
 class _RestPoint:
     """Where one rest-point solve on a support stopped, and what it found.
 
@@ -97,21 +83,19 @@ def _verdict(jac, growth) -> str:
     """Stability of a converged equal-growth point within its own simplex.
 
     At a rest point zdot = sum(v) * G(z), so the field's Jacobian is the
-    growth rate times that of G.  It is restricted to the tangent space
-    sum(dz) = 0; a rightmost eigenvalue with clearly positive real part
-    repels, and the point is a saddle when it is real and an unstable
-    focus when it is complex.
+    growth rate times that of G.  G is unchanged when z is scaled, so
+    J z = -z and 1^T J = -1^T: the spectrum of g J is the tangent spectrum
+    (sum(dz) = 0) plus -g, which never repels.  A rightmost eigenvalue with
+    clearly positive real part repels, and the point is then an unstable
+    focus when that eigenvalue's imaginary part is clearly nonzero too, else
+    a saddle.
     """
-    m = jac.shape[0]
-    if m == 1:
-        return "stable"
-    # orthonormal basis of the simplex tangent space
-    basis = np.linalg.svd(np.ones((1, m)))[2][1:]
-    eig = np.linalg.eigvals(basis @ (growth * jac) @ basis.T)
+    tol = _STABILITY_TOL * max(1.0, growth)
+    eig = np.linalg.eigvals(growth * jac)
     rightmost = eig[eig.real.argmax()]
-    if rightmost.real <= _STABILITY_TOL * max(1.0, growth):
+    if rightmost.real <= tol:
         return "stable"
-    return "saddle" if rightmost.imag == 0 else "unstable focus"
+    return "unstable focus" if abs(rightmost.imag) > tol else "saddle"
 
 
 def _rest_point_terms(z, f_sub, nu, s_total):
@@ -357,92 +341,3 @@ def block_winner(
         raise PreconditionError("no block admits a growing allocation")
     # max keeps the first of equal rates
     return frozenset(max(converged, key=lambda p: p.growth).members)
-
-
-def _validate_chain(f: np.ndarray, clusters: list[list[int]]) -> None:
-    n = f.shape[0]
-    flat = [i for c in clusters for i in c]
-    if sorted(flat) != list(range(n)):
-        raise PreconditionError("clusters must partition the technology indices")
-    if len(clusters) < 2:
-        raise PreconditionError("a transition needs at least two clusters")
-    for c in clusters:
-        sub = f[np.ix_(c, c)] > 0
-        if not closure(sub).all():
-            raise PreconditionError(
-                f"cluster {c} is not internally strongly connected"
-            )
-    for k in range(len(clusters) - 1):
-        giver, receiver = clusters[k], clusters[k + 1]
-        if not np.any(f[np.ix_(receiver, giver)] > 0):
-            raise PreconditionError(
-                f"no one-way spillover link from cluster {giver} to {receiver}"
-            )
-    if len(clusters) == 2:
-        c1, c2 = clusters
-        if np.any(f[np.ix_(c1, c2)] != 0):
-            raise PreconditionError(
-                "two-cluster transitions require strictly one-way spillovers "
-                "(no feedback into the first cluster)"
-            )
-
-
-def construct_transition(
-    matrix: SpilloverMatrix,
-    params: EconomyParams,
-    clusters: list[list[int]],
-    q0: QualityState | None = None,
-    horizon: float = 60.0,
-    step: float = 1e-2,
-    max_power: int = 8,
-) -> TransitionDesign:
-    """Find (phi1, phi2) staging a technology transition on a chained
-    cluster structure: phi2 multiplies the last cluster's internal
-    spillovers, phi1 is added to the first cluster's initial qualities.
-
-    Success means the first cluster holds the majority scientist share at
-    t = 0 while the last cluster ends holding all but 1e-3 of it.  For two
-    clusters the link must be strictly one-way; longer chains are accepted
-    with extra cross-links, the multi-block generalization.
-    """
-    f = matrix.entries
-    clusters = [sorted(int(i) for i in c) for c in clusters]
-    _validate_chain(f, clusters)
-    if q0 is None:
-        q0 = QualityState(0.0, np.ones(matrix.n))
-    first, last = clusters[0], clusters[-1]
-
-    best = None
-    powers = [2.0**k for k in range(max_power + 1)]
-    # the terminal share of the last cluster is set by the fixed point and
-    # thus by phi2; per phi2 it suffices to try the smallest phi1 that
-    # hands the first cluster the initial majority
-    for phi2 in powers:
-        scaled = f.copy()
-        scaled[np.ix_(last, last)] *= phi2
-        for phi1 in powers:
-            q_start = q0.q.copy()
-            q_start[first] += phi1
-            p = scaled @ q_start + params.alpha
-            if p.min() < 0:
-                continue
-            shares0 = shares_from_productivities(p, params.nu)
-            if shares0[first].sum() <= 0.5:
-                continue
-            model = validate_model(
-                SpilloverMatrix(scaled), params, QualityState(0.0, q_start)
-            )
-            traj = simulate(model, horizon, step=step)
-            terminal = float(traj.shares[-1][last].sum())
-            if best is None or terminal > best[2]:
-                best = (phi1, phi2, terminal)
-            if terminal > 1.0 - 1e-3:
-                return TransitionDesign(
-                    phi1=phi1, phi2=phi2, model=model, trajectory=traj
-                )
-            break
-    raise TransitionSearchExhaustedError(
-        f"no (phi1, phi2) pair up to 2^{max_power} produced a confirmed "
-        "transition",
-        best_candidate=best,
-    )

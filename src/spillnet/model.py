@@ -48,7 +48,7 @@ class DegenerateEconomyError(SpillnetError):
 
 
 class NumericalError(SpillnetError):
-    """A numerical procedure failed (blow-up, non-convergence, search cap)."""
+    """A numerical procedure failed (blow-up, non-convergence)."""
 
 
 class IntegrationBlowupError(NumericalError):
@@ -62,14 +62,6 @@ class IntegrationBlowupError(NumericalError):
     def __init__(self, message: str, last_good_time: float | None = None):
         super().__init__(message)
         self.last_good_time = last_good_time
-
-
-class TransitionSearchExhaustedError(NumericalError):
-    """Grid search for a transition scenario hit its cap."""
-
-    def __init__(self, message: str, best_candidate=None):
-        super().__init__(message)
-        self.best_candidate = best_candidate
 
 
 class InertTechnologyWarning(UserWarning):

@@ -414,6 +414,21 @@ def test_winner_from_start_no_events(model_factory):
     assert detect_transitions(traj, theta=0.6, hold=1.0) == []
 
 
+def test_one_way_linked_cycles_stage_one_transition(model_factory):
+    # twin 2-cycles with a one-way link from the first to the second; a head
+    # start of 2 on the first cycle hands it the initial majority, which the
+    # second, fed by the first, takes over
+    model = model_factory(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]], q0=[3, 3, 1, 1]
+    )
+    traj = simulate(model, 60.0)
+    assert traj.shares[0][:2].sum() > 0.5
+    assert traj.shares[-1][2:].sum() > 1 - 1e-3
+    events = detect_transitions(traj, theta=0.6, hold=1.0)
+    assert len(events) == 1
+    assert events[0].new_leaders <= frozenset({2, 3})
+
+
 def test_convergence_symmetric_cycle(model_factory):
     traj = simulate(model_factory([[0, 1], [1, 0]]), 20.0)
     conv = detect_convergence(traj, eps=1e-4, window=5.0)

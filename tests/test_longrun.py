@@ -9,12 +9,9 @@ from spillnet import (
     PreconditionError,
     QualityState,
     SpilloverMatrix,
-    TransitionSearchExhaustedError,
     block_winner,
     classify,
     closure,
-    construct_transition,
-    detect_transitions,
     predict_regime,
     solve_support_system,
 )
@@ -524,51 +521,6 @@ def test_block_winner_refuses_intra_spillovers():
         )
 
 
-def test_construct_transition_two_clusters():
-    # equal twin cycles plus a one-way link from the first to the second
-    f = SpilloverMatrix(
-        [[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]]
-    )
-    design = construct_transition(f, P0, clusters=[[0, 1], [2, 3]], horizon=60.0)
-    assert design.phi1 > 0 and design.phi2 > 0
-    traj = design.trajectory
-    assert traj.shares[0][:2].sum() > 0.5
-    assert traj.shares[-1][2:].sum() > 1 - 1e-3
-    events = detect_transitions(traj, theta=0.6, hold=1.0)
-    assert len(events) == 1
-    assert events[0].new_leaders <= frozenset({2, 3})
-
-
-def test_construct_transition_requires_link():
-    f = SpilloverMatrix(TWO_CYCLES_1V2)  # separated: no inter-cluster link
-    with pytest.raises(PreconditionError, match="link"):
-        construct_transition(f, P0, clusters=[[0, 1], [2, 3]])
-
-
-def test_construct_transition_requires_one_way_for_two_clusters():
-    # feedback into the first cluster breaks the two-cluster shape
-    f = SpilloverMatrix(
-        [[0, 1, 0, 1], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]]
-    )
-    with pytest.raises(PreconditionError, match="one-way"):
-        construct_transition(f, P0, clusters=[[0, 1], [2, 3]])
-
-
-def test_construct_transition_fig4_three_stage_chain():
-    # the staged-transition matrix is a chain of three clusters; extra
-    # cross-links are tolerated for chains longer than two
-    design = construct_transition(
-        SpilloverMatrix(FIG4),
-        P0,
-        clusters=[[0], [1], [2, 3]],
-        q0=QualityState(0.0, [1, 0.1, 0.1, 0.1]),
-        horizon=60.0,
-    )
-    traj = design.trajectory
-    assert traj.shares[0][0] > 0.5
-    assert traj.shares[-1][2:].sum() > 1 - 1e-3
-
-
 @pytest.mark.filterwarnings("ignore::spillnet.InertTechnologyWarning")
 def test_solver_agrees_with_simulation_on_random_structures(rng):
     # close the loop on random instances: wherever the solver finds a
@@ -598,20 +550,6 @@ def test_solver_agrees_with_simulation_on_random_structures(rng):
         assert np.abs(traj.shares[-1] - sol.shares_inf).max() < 1e-3
         assert abs(traj.sector_growth[-1] - sol.growth_rate) < 1e-3 * sol.growth_rate
     assert checked >= 8  # the generator must actually exercise the check
-
-
-def test_construct_transition_exhaustion_reports_best():
-    # an unwinnable request: demand the weaker cluster end dominant while
-    # the search may only scale it by 1 (max_power = 0 keeps phi2 = 1) and
-    # the first cluster starts far ahead
-    f = SpilloverMatrix(
-        [[0, 5, 0, 0], [5, 0, 0, 0], [1, 0, 0, 0.1], [0, 0, 0.1, 0]]
-    )
-    with pytest.raises(TransitionSearchExhaustedError) as err:
-        construct_transition(
-            f, P0, clusters=[[0, 1], [2, 3]], horizon=10.0, max_power=0
-        )
-    assert err.value.best_candidate is not None
 
 
 def test_rest_point_jacobian_matches_central_differences(rng):
@@ -646,6 +584,8 @@ def test_rest_point_jacobian_matches_central_differences(rng):
         )
         scale = max(1.0, np.abs(differences).max())
         np.testing.assert_allclose(jac, differences, rtol=0, atol=1e-7 * scale)
+        # G is unchanged when z is scaled, so z is an eigenvector for -1
+        np.testing.assert_allclose(jac @ z, -z, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("nu", [0.8, 0.95])
@@ -707,6 +647,9 @@ def test_scaled_matrix_keeps_its_rest_point(nu):
         (TWO_EQUAL_CYCLES, {0, 1, 2, 3}, 0.5, "saddle"),
         (TWO_EQUAL_CYCLES, {0, 1, 2, 3}, 0.8, "saddle"),
         (np.zeros((2, 2)), {0, 1}, 0.5, "non-positive"),
+        # three equal self-loops: J is symmetric, so the uniform point is a
+        # saddle whose rightmost eigenvalue is a double real one
+        (np.eye(3), {0, 1, 2}, 0.5, "saddle"),
     ],
 )
 def test_rest_point_verdicts(rows, support, nu, verdict):
@@ -718,6 +661,6 @@ def test_rest_point_verdicts(rows, support, nu, verdict):
     if verdict in ("stable", "saddle", "unstable focus"):
         assert point.residual < 1e-12
     if verdict == "saddle":
-        np.testing.assert_array_equal(point.z, np.full(4, 0.25))
+        np.testing.assert_array_equal(point.z, np.full(len(support), 1 / len(support)))
     if verdict == "unstable focus":
         assert point.growth == pytest.approx(0.406386, abs=1e-6)

@@ -1,5 +1,7 @@
-"""pyproject.toml declares numpy as spillnet's only dependency."""
+"""pyproject.toml declares numpy as spillnet's only dependency, and the
+package's import surface holds together."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +26,21 @@ def test_import_loads_no_third_party_module_but_numpy():
     assert "spillnet" in out and "numpy" in out
     assert "scipy" not in out
     assert set(out) - sys.stdlib_module_names - {"numpy", "spillnet"} == set()
+
+
+def test_star_import_binds_every_public_name_once():
+    namespace = {}
+    exec("from spillnet import *", namespace)
+    assert len(set(spillnet.__all__)) == len(spillnet.__all__)
+    assert set(spillnet.__all__) <= set(namespace)
+
+
+def test_longrun_does_not_import_the_integrator():
+    # the long-run layer reads the structure alone; simulation stays out
+    source = Path(spillnet.__file__).with_name("longrun.py").read_text()
+    modules = [
+        node.module
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module
+    ]
+    assert "dynamics" not in [m.rsplit(".", 1)[-1] for m in modules]
