@@ -27,7 +27,7 @@ import numpy as np
 
 from .allocation import _research_rates
 from .model import EconomyParams, PreconditionError, QualityState, SpilloverMatrix
-from .structure import StructureReport, _block_dominant, classify
+from .structure import StructureReport, classify
 
 _FP_TOL = 1e-12
 _MAX_STEPS = 500
@@ -261,11 +261,12 @@ def predict_regime(
     known when exactly one candidate is stable; two or more make the
     outcome depend on initial conditions, and none leaves it open.
     """
-    f = matrix.entries
     n = matrix.n
     adj = report.adjacency
 
-    if any(_block_dominant(f, sorted(core)) > 0 for core in report.cores):
+    # some core grows: the cores are the SCCs of 2+ nodes and the positive
+    # self-loops, and every other diagonal block is a singleton f_ii <= 0
+    if report.self_loops or report.dominant_eigenvalue > 0:
         candidates = tuple(_solve_support_system(matrix, params, report))
         # no stable candidate is not path dependence
         survivors = candidates[0].support if len(candidates) == 1 else None

@@ -193,10 +193,6 @@ class Model:
     matrix: SpilloverMatrix
     params: EconomyParams
     q0: QualityState
-    nonnegative: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nonnegative", self.matrix.nonnegative)
 
     @property
     def n(self) -> int:

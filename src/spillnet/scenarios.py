@@ -50,6 +50,9 @@ _SETTLED_TOL = 1e-4
 
 _REQUIRED_FIELDS = ("name", "n", "F", "nu", "alpha", "s_total", "c", "q0", "horizon", "step")
 
+# the fields a `defaulted` list may name
+_PARAMETER_FIELDS = _REQUIRED_FIELDS[2:]
+
 
 class ScenarioParseError(ValidationError):
     """Scenario file is not valid JSON or not a JSON object."""
@@ -77,6 +80,14 @@ class Scenario:
                 raise NonFiniteEntryError(f"{name} is not finite: {value!r}")
             if value <= 0:
                 raise ValidationError(f"{name} must be positive, got {value}")
+        names = self.defaulted
+        if not isinstance(names, Sequence) or isinstance(names, str) or not all(
+            isinstance(d, str) and d in _PARAMETER_FIELDS for d in names
+        ):
+            raise ValidationError(
+                f"defaulted must be a list of names from {_PARAMETER_FIELDS}, got {names!r}"
+            )
+        object.__setattr__(self, "defaulted", tuple(names))
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,11 @@ def load_scenario(path: str | Path) -> Scenario:
         if name not in doc:
             raise MissingFieldError(f"{path}: missing required field {name!r}")
     try:
-        n = int(doc["n"])
+        n = doc["n"]
+        # not int(n) alone: it reads true as 1 and truncates 2.9 to 2
+        if not (type(n) is int or type(n) is float and n.is_integer()):
+            raise ValidationError(f"n must be an integer, got {n!r}")
+        n = int(n)
         flat = np.asarray(doc["F"], dtype=float)
         if flat.size != n * n:
             raise ValidationError(
@@ -138,7 +153,7 @@ def load_scenario(path: str | Path) -> Scenario:
             q0=QualityState(0.0, q0),
             horizon=float(doc["horizon"]),
             step=float(doc["step"]),
-            defaulted=tuple(doc.get("defaulted", ())),
+            defaulted=doc.get("defaulted", ()),
         )
     except ValidationError as e:
         raise type(e)(f"{path}: {e}") from e
@@ -325,8 +340,7 @@ def structure_lines(s: StructureReport) -> list[str]:
     ]
     if s.negative_edges:
         lines.append(f"negative entries at: {[list(e) for e in s.negative_edges]}")
-    if s.spectrum is not None:
-        lines.append("spectrum: " + ", ".join(f"{e:.6g}" for e in s.spectrum))
+    lines.append("spectrum: " + ", ".join(f"{e:.6g}" for e in s.spectrum))
     return lines
 
 

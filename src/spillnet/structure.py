@@ -8,11 +8,12 @@ separately; the named structure classes are only granted when the matrix
 is nonnegative or eventually nonnegative.
 
 `classify` takes one closure per matrix.  SCCs, cores and weak
-components are read off it, and above DENSE_SPECTRUM_LIMIT the
-dominant eigenvalue is taken block by block over the SCCs: one max over
-the diagonal entries of all singletons, and a dense eigensolve for each
-larger block.  Eventual nonnegativity powers only the columns from which
-a walk can reach a negative edge, over a finite window of powers.
+components are read off it, and so is the spectrum: F is
+block-triangular over its SCCs, so its eigenvalues are the diagonal
+entries of the singletons and those of each larger diagonal block, one
+dense eigensolve per block.  Eventual nonnegativity powers only the
+columns from which a walk can reach a negative edge, over a finite
+window of powers.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SpilloverMatrix
-
-DENSE_SPECTRUM_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class StructureReport:
     weak_components: tuple[frozenset[int], ...]
     eventually_nonnegative: tuple[bool, int | None]
     dominant_eigenvalue: float
-    spectrum: tuple[complex, ...] | None
+    spectrum: tuple[complex, ...]  # all n eigenvalues, by descending (real, imag)
     negative_edges: tuple[tuple[int, int], ...]
     self_loops: tuple[int, ...]
 
@@ -189,14 +188,6 @@ def dominant_eigenvalue_power(
     return lam - sigma
 
 
-def _block_dominant(f: np.ndarray, members: list[int]) -> float:
-    """Rightmost eigenvalue of the diagonal block F[members, members] of
-    one SCC: a singleton's diagonal entry, otherwise a dense eigensolve."""
-    if len(members) == 1:
-        return float(f[members[0], members[0]])
-    return float(np.linalg.eigvals(f[np.ix_(members, members)]).real.max())
-
-
 def _classes(
     matrix: SpilloverMatrix,
     reach: np.ndarray,
@@ -256,19 +247,14 @@ def classify(matrix: SpilloverMatrix) -> StructureReport:
         # nonnegative matrices
         classes = frozenset({"general"})
 
-    if n <= DENSE_SPECTRUM_LIMIT:
-        eigs = np.linalg.eigvals(f)
-        spectrum: tuple[complex, ...] | None = tuple(complex(e) for e in eigs)
-        dominant = float(eigs.real.max())
-    else:
-        # F is block-triangular over its SCCs, so its spectrum is the
-        # union of the spectra of its diagonal blocks F[b, b]
-        spectrum = None
-        roots = [_block_dominant(f, sorted(c)) for c in sccs if len(c) >= 2]
-        singles = [i for c in sccs if len(c) == 1 for i in c]
-        if singles:
-            roots.append(float(f.diagonal()[singles].max()))
-        dominant = max(roots)
+    # F is block-triangular over its SCCs, so its spectrum is the union
+    # of the spectra of its diagonal blocks F[b, b]
+    singles = [i for c in sccs if len(c) == 1 for i in c]
+    blocks = [sorted(c) for c in sccs if len(c) >= 2]
+    eigs = np.concatenate(
+        [f.diagonal()[singles]] + [np.linalg.eigvals(f[np.ix_(m, m)]) for m in blocks]
+    )
+    eigs = np.sort_complex(eigs)[::-1]
 
     return StructureReport(
         adjacency=adj,
@@ -278,8 +264,8 @@ def classify(matrix: SpilloverMatrix) -> StructureReport:
         irreducible=bool(reach.all()),
         weak_components=tuple(weak),
         eventually_nonnegative=evnn,
-        dominant_eigenvalue=dominant,
-        spectrum=spectrum,
+        dominant_eigenvalue=float(eigs.real.max()),
+        spectrum=tuple(eigs.tolist()),
         negative_edges=negative,
         self_loops=self_loops,
     )

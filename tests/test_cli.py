@@ -272,6 +272,26 @@ def test_sweep_reports_non_finite_horizon_or_step(tmp_path, capsys, field, value
     assert index["bad"]["error"].startswith(f"NonFiniteEntryError: {scenarios_dir / 'bad.json'}: {field} ")
 
 
+@pytest.mark.parametrize("field, value", [("defaulted", [3, {"a": 1}]), ("defaulted", "nu"), ("n", 2.9)])
+def test_sweep_reports_a_malformed_defaulted_list_or_n(tmp_path, capsys, field, value):
+    scenarios_dir = tmp_path / "scenarios"
+    scenarios_dir.mkdir()
+    write_scenario(replace(builtin_scenario("fig12-oneway"), horizon=5.0), scenarios_dir / "good.json")
+    doc = json.loads((scenarios_dir / "good.json").read_text())
+    doc["name"], doc[field] = "bad", value
+    (scenarios_dir / "bad.json").write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", str(scenarios_dir), "--out", str(out_dir)]) == 2
+    assert "bad: ValidationError: " in capsys.readouterr().err
+    index = json.loads((out_dir / "sweep.json").read_text())
+    assert set(index) == {"fig12-oneway", "bad"}
+    assert index["bad"]["error"].startswith(f"ValidationError: {scenarios_dir / 'bad.json'}: {field} ")
+    assert index["fig12-oneway"]["regime"] == "polynomial"
+    for suffix in (".csv", ".svg", ".report.txt", ".report.json"):
+        assert (out_dir / f"fig12-oneway{suffix}").exists()
+    assert not list(out_dir.glob("bad*"))
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     scenarios_dir = tmp_path / "scenarios"

@@ -496,6 +496,33 @@ def test_regime_spectrum_duality(rng):
         assert (pred.regime == "exponential") == (rho > 1e-12)
 
 
+def test_exponential_branch_matches_per_core_rule(rng):
+    # oracle: some core whose own diagonal block has a positive rightmost
+    # eigenvalue, one dense eigensolve per core
+    def draws():
+        # a signed 2-cycle with roots +-i whose self-loop core still grows
+        yield np.array([[1.0, 1.0], [-2.0, -1.0]])
+        for k in range(300):
+            n = int(rng.integers(1, 21))
+            low = -1.0 if k % 2 else 0.0
+            f = rng.uniform(low, 1, (n, n)) * (rng.uniform(0, 1, (n, n)) < rng.uniform(0.05, 0.4))
+            yield np.round(2 * f) if k % 5 == 0 else f
+
+    for f in draws():
+        m = SpilloverMatrix(f)
+        report = classify(m)
+        grows = any(
+            np.linalg.eigvals(f[np.ix_(c, c)]).real.max() > 0 for c in map(sorted, report.cores)
+        )
+        try:
+            # only the exponential branch solves supports, and the solver
+            # refuses signed matrices that are not eventually nonnegative
+            exponential = predict_regime(report, m, P0).regime == "exponential"
+        except PreconditionError:
+            exponential = True
+        assert exponential == grows, f
+
+
 def test_block_winner_heavier_block():
     winner = block_winner(
         SpilloverMatrix(TWO_CYCLES_1V2), P0, QualityState(0.0, np.ones(4))

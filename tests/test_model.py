@@ -22,7 +22,7 @@ def test_valid_handle_from_oneway_example():
         QualityState(0.0, np.ones(4)),
     )
     assert model.n == 4
-    assert model.nonnegative
+    assert model.matrix.nonnegative
 
 
 def test_non_square_matrix_rejected():

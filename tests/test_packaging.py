@@ -38,9 +38,19 @@ def test_star_import_binds_every_public_name_once():
 def test_longrun_does_not_import_the_integrator():
     # the long-run layer reads the structure alone; simulation stays out
     source = Path(spillnet.__file__).with_name("longrun.py").read_text()
-    modules = [
-        node.module
+    imports = [
+        node
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom) and node.module
     ]
-    assert "dynamics" not in [m.rsplit(".", 1)[-1] for m in modules]
+    modules = [node.module.rsplit(".", 1)[-1] for node in imports]
+    assert "dynamics" not in modules
+    # and it reads the structure report, not the structure layer's private names
+    private = [
+        alias.name
+        for node, module in zip(imports, modules)
+        if module == "structure"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,35 @@ def test_malformed_value_is_validation_error(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="malformed"):
         load_scenario(bad)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("defaulted", "nu"),
+    ("defaulted", [3, {"a": 1}]),
+    ("defaulted", ["nu", "theta"]),
+    ("defaulted", {"nu": True}),
+    ("n", 2.9),
+    ("n", True),
+    ("n", "2"),
+])
+def test_bad_defaulted_or_n_is_validation_error(tmp_path, field, value):
+    doc = {
+        "name": "x", "n": 2, "F": [0, 1, 1, 0],
+        "nu": 0.5, "alpha": 0.0, "s_total": 1.0, "c": 1.0,
+        "q0": [1, 1], "horizon": 10.0, "step": 0.01, field: value,
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"bad.json: {field} "):
+        load_scenario(bad)
+    if field == "defaulted":
+        # programmatic scenarios are checked the same way
+        with pytest.raises(ValidationError, match="defaulted "):
+            replace(builtin_scenario("fig12-oneway"), defaulted=value)
+    # an integral float is still an integer
+    doc["n"], doc["defaulted"] = 2.0, ["nu"]
+    bad.write_text(json.dumps(doc))
+    assert load_scenario(bad).matrix.n == 2
 
 
 def test_missing_file_is_io_error(tmp_path):

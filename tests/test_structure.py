@@ -248,10 +248,20 @@ def test_classification_consistency(rng):
             assert frozenset(range(n)) in r.cores
 
 
+def assert_spectrum_matches(r, eigs, **tol):
+    """The report lists all n eigenvalues, rightmost first, and their real
+    and imaginary parts agree with those of `eigs`."""
+    assert len(r.spectrum) == len(eigs)
+    assert list(r.spectrum) == sorted(r.spectrum, key=lambda e: (e.real, e.imag), reverse=True)
+    spectrum = np.array(r.spectrum)
+    assert np.sort(spectrum.real) == pytest.approx(np.sort(eigs.real), **tol)
+    assert np.sort(spectrum.imag) == pytest.approx(np.sort(eigs.imag), **tol)
+
+
 def test_large_matrix_spectrum_marker(rng):
     f = rng.uniform(0, 1, (17, 17))
     r = classify(SpilloverMatrix(f))
-    assert r.spectrum is None
+    assert_spectrum_matches(r, np.linalg.eigvals(f), abs=1e-8)
     assert r.dominant_eigenvalue == pytest.approx(
         np.linalg.eigvals(f).real.max(), abs=1e-8
     )
@@ -261,7 +271,7 @@ def test_large_nilpotent_dominant_eigenvalue_is_exactly_zero(rng):
     # strictly lower triangular: every SCC is a 1x1 zero block
     f = np.tril(rng.uniform(0.2, 1.0, (20, 20)), k=-1)
     r = classify(SpilloverMatrix(f))
-    assert r.spectrum is None
+    assert r.spectrum == (0j,) * 20
     assert "one-way" in r.classes
     assert r.dominant_eigenvalue == 0.0
 
@@ -277,7 +287,7 @@ def test_large_reducible_dominant_eigenvalue_matches_dense(rng):
     f[6, [0, 3]] = 1.0
     f[7:, 6:-1] += np.diag(rng.uniform(0.3, 1.0, n - 7))
     r = classify(SpilloverMatrix(f))
-    assert r.spectrum is None
+    assert_spectrum_matches(r, np.linalg.eigvals(f), abs=1e-8)
     assert {frozenset({0, 1, 2}), frozenset({3, 4, 5})} <= set(r.cores)
     assert "one-way" not in r.classes and not r.irreducible
     assert r.dominant_eigenvalue == pytest.approx(
@@ -421,7 +431,11 @@ def test_large_spectrum_matches_dense_on_block_mixes(rng, monkeypatch):
         blocks = spectrum_mix(rng)
         f = block_triangular(blocks, rng)
         r = classify(SpilloverMatrix(f))
-        assert r.spectrum is None
+        # the generator's own blocks: a dense solve of the whole non-normal
+        # matrix is itself off by up to 1e-11 on interior eigenvalues
+        blockwise = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+        assert_spectrum_matches(r, blockwise, rel=1e-9, abs=1e-12)
+        assert_spectrum_matches(r, np.linalg.eigvals(f), abs=1e-9)
         sccs = strongly_connected_components(r.closure)
         assert sorted(map(len, sccs)) == sorted(len(b) for b in blocks)
         dense = np.linalg.eigvals(f).real.max()
@@ -572,7 +586,8 @@ def test_all_singleton_dag_dominant_is_max_diagonal(diagonal, rng):
     label = rng.permutation(n)
     f = f[np.ix_(label, label)]
     r = classify(SpilloverMatrix(f))
-    assert r.spectrum is None and r.cores == ()
+    assert r.cores == ()
     assert strongly_connected_components(r.closure) == [frozenset({i}) for i in range(n)]
     # a triangular matrix's eigenvalues are its diagonal entries
+    assert r.spectrum == tuple(complex(d) for d in np.sort(f.diagonal())[::-1])
     assert r.dominant_eigenvalue == f.diagonal().max()
