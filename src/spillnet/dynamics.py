@@ -41,7 +41,6 @@ from .model import (
 )
 
 DEFAULT_STEP = 1e-2
-DEFAULT_HOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -65,14 +64,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.z.shape[1]
-
-    def qualities(self, index: int | None = None) -> np.ndarray:
-        """Raw q at one sample (or all samples); may overflow to inf on
-        long exponential runs, which is why z/logsum is the stored form."""
-        with np.errstate(over="ignore"):
-            if index is None:
-                return self.z * np.exp(self.logsum)[:, None]
-            return self.z[index] * np.exp(self.logsum[index])
 
 
 @dataclass(frozen=True)
@@ -428,8 +419,9 @@ def simulate_batch(
             u = th * (1 - th)
             u2 = u * u
             basis = np.column_stack((th, u, th * u, u2, th * u2, u * u2, th * u * u2))
-            # products per pair, so that a row's samples do not depend on
-            # which other rows share the batch
+            # products per pair, not per batch.  A row's bits still depend
+            # on which rows share its batch: padding to the batch's largest
+            # n changes the order of the row's reductions
             ext = ext[pair]
             ys = ext[:, 0] + hr[pair] * (basis[:, None] @ ext[:, 1:])[:, 0]
             ys, fz = ys[:, : n + 1], ys[:, n + 1 :]
@@ -522,15 +514,6 @@ def simulate(
     return result
 
 
-def sector_growth_rate(q: np.ndarray, tech_growth: np.ndarray) -> float:
-    """Quality-weighted average growth: sum_i g_i q_i / sum_j q_j.
-    NaN growth entries must carry zero quality and contribute nothing."""
-    q = np.asarray(q, dtype=float)
-    g = np.asarray(tech_growth, dtype=float)
-    w = q / q.sum()
-    return float(np.where(w > 0, np.nan_to_num(g) * w, 0.0).sum())
-
-
 def growth_series(traj: Trajectory) -> GrowthSeries:
     """Analytic growth rates plus the per-interval check d(ln sum q)/dt.
 
@@ -551,16 +534,10 @@ def growth_series(traj: Trajectory) -> GrowthSeries:
     )
 
 
-def leader_set(shares: np.ndarray, theta: float) -> frozenset[int]:
-    """Minimal set of technologies whose shares, sorted descending, sum to
-    at least theta.  Ties broken by index for determinism."""
-    return frozenset(np.flatnonzero(_leader_sets(shares[None, :], theta)[0]).tolist())
-
-
 def _leader_sets(shares: np.ndarray, theta: float) -> np.ndarray:
-    """leader_set of every row of `shares` at once, as a boolean membership
-    matrix: shares sorted descending (ties by index), summed in that order
-    until the sum reaches theta."""
+    """The leader set of every row of `shares`, as a boolean membership
+    matrix: the minimal set of technologies whose shares, sorted
+    descending (ties by index), sum to at least theta."""
     n = shares.shape[1]
     order = np.argsort(-shares, axis=1, kind="stable")
     reached = np.cumsum(np.take_along_axis(shares, order, axis=1), axis=1) >= theta
@@ -572,7 +549,7 @@ def _leader_sets(shares: np.ndarray, theta: float) -> np.ndarray:
 
 
 def detect_transitions(
-    traj: Trajectory, theta: float, hold: float = DEFAULT_HOLD
+    traj: Trajectory, theta: float = 0.6, hold: float = 1.0
 ) -> list[TransitionEvent]:
     """Leader-set changes that persist for at least `hold` time units.
 

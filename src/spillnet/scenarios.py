@@ -28,6 +28,7 @@ from .dynamics import (
 from .longrun import LongRunSolution, RegimePrediction, predict_regime
 from .model import (
     EconomyParams,
+    Model,
     NonFiniteEntryError,
     QualityState,
     SpilloverMatrix,
@@ -391,9 +392,6 @@ def _report_text(report: RunReport) -> str:
 def run_many(
     scenarios: Sequence[Scenario],
     outdir: str | Path | None = None,
-    theta: float = 0.6,
-    hold: float = 1.0,
-    charts: bool = True,
 ) -> list[RunReport | SpillnetError | OSError]:
     """classify -> predict for each scenario, one simulate_batch call for
     all of them, then detect and export per scenario.
@@ -407,7 +405,8 @@ def run_many(
     predicted = {}
     for i, scenario in enumerate(scenarios):
         try:
-            model = validate_model(scenario.matrix, scenario.params, scenario.q0)
+            # a Scenario is validated when it is built
+            model = Model(scenario.matrix, scenario.params, scenario.q0)
             structure = classify(scenario.matrix)
             prediction = predict_regime(structure, scenario.matrix, scenario.params)
         except SpillnetError as e:
@@ -425,23 +424,15 @@ def run_many(
             results[i] = traj
             continue
         try:
-            results[i] = _detect_and_export(
-                scenarios[i], *predicted[i][1:], traj, outdir, theta, hold, charts
-            )
+            results[i] = _detect_and_export(scenarios[i], *predicted[i][1:], traj, outdir)
         except (SpillnetError, OSError) as e:
             results[i] = e
     return results
 
 
-def run(
-    scenario: Scenario,
-    outdir: str | Path | None = None,
-    theta: float = 0.6,
-    hold: float = 1.0,
-    charts: bool = True,
-) -> RunReport:
+def run(scenario: Scenario, outdir: str | Path | None = None) -> RunReport:
     """One scenario end to end: run_many of one, raising its error."""
-    (report,) = run_many([scenario], outdir, theta, hold, charts)
+    (report,) = run_many([scenario], outdir)
     if not isinstance(report, RunReport):
         raise report
     return report
@@ -453,9 +444,6 @@ def _detect_and_export(
     prediction: RegimePrediction,
     traj: Trajectory,
     outdir: str | Path | None,
-    theta: float,
-    hold: float,
-    charts: bool,
 ) -> RunReport:
     """Detection, the prediction cross-check and export for one simulated
     scenario.
@@ -466,7 +454,7 @@ def _detect_and_export(
     run has not converged, the cross-check is undecided (None), so that a
     failed cross-check always means a run that settled elsewhere.
     """
-    transitions = tuple(detect_transitions(traj, theta=theta, hold=hold))
+    transitions = tuple(detect_transitions(traj))
     window = min(5.0, scenario.horizon / 4.0)
     convergence = detect_convergence(traj, eps=_SETTLED_TOL, window=window)
     realized_support = frozenset(
@@ -492,12 +480,11 @@ def _detect_and_export(
         csv_path = base.with_suffix(".csv")
         csv_path.write_text(trajectory_csv(traj))
         outputs["trajectory"] = str(csv_path)
-        if charts:
-            svg_path = base.with_suffix(".svg")
-            svg_path.write_text(
-                trajectory_chart(traj.times, traj.shares, traj.tech_growth, traj.sector_growth)
-            )
-            outputs["chart"] = str(svg_path)
+        svg_path = base.with_suffix(".svg")
+        svg_path.write_text(
+            trajectory_chart(traj.times, traj.shares, traj.tech_growth, traj.sector_growth)
+        )
+        outputs["chart"] = str(svg_path)
 
     report = RunReport(
         scenario=scenario.name,

@@ -66,19 +66,6 @@ def closure(a: np.ndarray) -> np.ndarray:
     return reach
 
 
-def topological_order(a: np.ndarray) -> list[int] | None:
-    """Topological order of the digraph (edge j -> i iff a[i, j]); None
-    when a cycle (including a self-loop) exists.
-
-    In a DAG every node has strictly more ancestors than each of its
-    predecessors, so sorting by ancestor count is a topological order.
-    """
-    reach = closure(a)
-    if reach.diagonal().any():
-        return None
-    return np.argsort(reach.sum(axis=1), kind="stable").tolist()
-
-
 def strongly_connected_components(reach: np.ndarray) -> list[frozenset[int]]:
     """SCCs from a reachability closure: i and j are equivalent iff each
     reaches the other (or i == j).  Row i of the mutual reachability

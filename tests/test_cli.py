@@ -1,10 +1,11 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spillnet import builtin_scenario, write_scenario
+from spillnet import InertTechnologyWarning, builtin_scenario, write_scenario
 from spillnet.cli import main
 
 
@@ -57,6 +58,21 @@ def test_simulate_command_writes_outputs(scenario_file, tmp_path, capsys):
     assert (out_dir / "fig12-circular.svg").exists()
     assert (out_dir / "fig12-circular.report.json").exists()
     assert "terminal growth rate" in capsys.readouterr().out
+
+
+def test_simulate_command_warns_of_inert_technologies_once(tmp_path, capsys):
+    path = tmp_path / "inert.json"
+    doc = {
+        "name": "inert", "n": 3, "F": [0, 1, 0, 1, 0, 0, 0, 0, 0], "nu": 0.5,
+        "alpha": 0.0, "s_total": 1.0, "c": 1.0, "q0": [1, 1, 1],
+        "horizon": 5.0, "step": 0.01,
+    }
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", str(path)]) == 0
+    assert [w.category for w in caught] == [InertTechnologyWarning]
+    assert "[2]" in str(caught[0].message)
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):

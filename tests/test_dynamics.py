@@ -11,8 +11,6 @@ from spillnet import (
     detect_convergence,
     detect_transitions,
     growth_series,
-    leader_set,
-    sector_growth_rate,
     simulate,
     simulate_batch,
     solve_support_system,
@@ -35,7 +33,7 @@ def test_no_spillovers_linear_growth_exact(model_factory):
     model = model_factory([[0, 0], [0, 0]], alpha=1.0)
     traj = simulate(model, 10.0)
     expected = np.repeat((1.0 + 0.5**0.5 * traj.times)[:, None], 2, axis=1)
-    q = traj.qualities()
+    q = traj.z * np.exp(traj.logsum)[:, None]
     np.testing.assert_allclose(q, expected, rtol=1e-10)
     assert traj.sector_growth[-1] < 0.1
     assert traj.sector_growth[-1] < traj.sector_growth[0]
@@ -328,17 +326,6 @@ def test_nonreceivers_lose_all_scientists(model_factory):
     assert traj.shares[-1][:2].max() < 1e-3
 
 
-def test_sector_growth_weighted_average_examples():
-    assert sector_growth_rate([1.0, 3.0], [0.2, 0.1]) == pytest.approx(0.125)
-    # equal growth rates collapse the average onto that rate
-    assert sector_growth_rate([0.3, 0.9, 2.0], [0.4, 0.4, 0.4]) == pytest.approx(0.4)
-    # a single grower's weight pulls the average up to its rate
-    for w in (0.5, 0.9, 0.999):
-        avg = sector_growth_rate([w, 1 - w], [0.7, 0.0])
-        assert avg < 0.7
-        assert avg == pytest.approx(0.7 * w)
-
-
 def test_growth_series_matches_logsum_differencing(model_factory):
     model = model_factory([[0, 1], [1, 0]], alpha=0.5)
     traj = simulate(model, 10.0, step=0.01, sample_every=1)
@@ -611,4 +598,3 @@ def test_vectorised_leader_sets_match_leader_set_with_ties(rng):
             for row, member in zip(shares, members):
                 expected = sorted_leader_set(row, theta)
                 assert frozenset(np.flatnonzero(member).tolist()) == expected
-                assert leader_set(row, theta) == expected

@@ -272,7 +272,7 @@ def test_run_circular_end_to_end(tmp_path):
 
 
 def test_report_json_carries_integrator_counts(tmp_path):
-    report = run(builtin_scenario("fig12-circular"), outdir=tmp_path, charts=False)
+    report = run(builtin_scenario("fig12-circular"), outdir=tmp_path)
     data = json.loads((tmp_path / "fig12-circular.report.json").read_text())
     counts = data["simulation"]["integrator"]
     assert counts == report.integrator
@@ -320,7 +320,7 @@ def test_crosscheck_undecided_when_run_has_not_converged(tmp_path):
     # fig4-transitions' one candidate is right, but at t = 60 z is still
     # about 5e-4 from z* and moving: that is no misprediction
     scenario = builtin_scenario("fig4-transitions")
-    report = run(scenario, outdir=tmp_path, charts=False)
+    report = run(scenario, outdir=tmp_path)
     (candidate,) = report.prediction.candidates
     assert not report.convergence.converged
     model = validate_model(scenario.matrix, scenario.params, scenario.q0)
